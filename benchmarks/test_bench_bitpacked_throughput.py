@@ -1,19 +1,21 @@
-"""Bit-packed engine bench: trials/sec vs the uint8 batched and scalar
-engines on the same cells.
+"""Bit-packed tape engine bench: trials/sec vs the scalar executor walk on
+the same cells.
 
-Two shapes, matching how campaigns actually spend time:
+Not a paper artefact.  Two shapes, matching how campaigns actually spend
+time:
 
 * the dot2 + ECiM Monte-Carlo shard (legacy stochastic model at 1e-3),
   benched at the engine level — one ``run_trials`` call over precomputed
-  per-trial seeds and inputs, so the numbers isolate the interpreters the
-  way the ISSUE's floor is stated.  This is the bit-packed engine's home
-  turf: geometric skip-sampling replaces ~1700 Philox uniforms per trial
-  and every gate is a word op over 64 trials, so the asserted floor is a
-  conservative 4x over the uint8 engine (typical observed: ~15-25x);
-* a dot2 k=2 multi-fault shard through the full campaign path — here
-  per-trial Python plan construction dominates both tape engines, so the
-  bench only guards against regressing below the uint8 engine rather than
-  asserting a speedup.
+  per-trial seeds and inputs, so the numbers isolate the interpreters.
+  Geometric skip-sampling draws O(hits) uniforms per trial and every gate
+  is a word op over 64 trials.  The scalar side is timed on a smaller
+  slice of the same cell (its cost is linear in trials — each trial is an
+  independent ``reset()`` + ``run()`` — so trials/sec is directly
+  comparable).  The asserted floor is :data:`SCALAR_FLOOR`; the typical
+  observed ratio is two to three orders of magnitude;
+* a dot2 k=2 multi-fault shard through the full campaign path, where
+  per-trial Python plan construction dominates; it is timed and pinned in
+  the baseline, with no ratio asserted.
 """
 
 from conftest import emit
@@ -26,13 +28,12 @@ from repro.core.batched import sample_input_matrix
 from repro.pim.faults import FaultModel
 
 SCALAR_TRIALS = 120
-BATCHED_TRIALS = 1000
 BITPACKED_TRIALS = 20_000
 KFLIP_TRIALS = 2000
 
-#: The asserted floor of the bit-packed engine over the uint8 batched one on
-#: the Monte-Carlo shard (ISSUE 7 acceptance criterion).
-BITPACKED_FLOOR = 4.0
+#: The asserted floor of the bit-packed engine over the scalar executor walk
+#: on the Monte-Carlo shard.
+SCALAR_FLOOR = 10.0
 
 #: The Monte-Carlo cell: dot2 + ECiM under the legacy stochastic model.
 _MODEL = FaultModel(gate_error_rate=1e-3)
@@ -48,10 +49,9 @@ _KFLIP_CELL = dict(
     name="bitpacked-kflip-bench",
 )
 
-#: trials/sec per engine, filled in file order (scalar -> batched ->
-#: bitpacked) and consumed by the later tests' ratio assertions.
+#: trials/sec per engine, filled in file order (scalar -> bitpacked) and
+#: consumed by the later test's ratio assertion.
 _OBSERVED = {}
-_KFLIP_OBSERVED = {}
 
 
 def _bench_engine(benchmark, name, trials):
@@ -80,26 +80,18 @@ def test_scalar_monte_carlo_throughput(benchmark):
     emit({"rendered": f"scalar engine: {_OBSERVED['scalar']:.0f} trials/sec (dot2, ecim)"})
 
 
-def test_batched_monte_carlo_throughput(benchmark):
-    _OBSERVED["batched"] = _bench_engine(benchmark, "batched", BATCHED_TRIALS)
-    emit({"rendered": f"batched engine: {_OBSERVED['batched']:.0f} trials/sec (dot2, ecim)"})
-
-
 def test_bitpacked_monte_carlo_throughput(benchmark):
     bitpacked = _bench_engine(benchmark, "bitpacked", BITPACKED_TRIALS)
-    _OBSERVED["bitpacked"] = bitpacked
     lines = [
         f"bitpacked engine: {bitpacked:.0f} trials/sec "
         f"(dot2, ecim, {BITPACKED_TRIALS}-trial shard)"
     ]
     if "scalar" in _OBSERVED:
-        lines.append(f"speedup over scalar: {bitpacked / _OBSERVED['scalar']:.0f}x")
-    if "batched" in _OBSERVED:
-        speedup = bitpacked / _OBSERVED["batched"]
-        lines.append(f"speedup over batched (uint8): {speedup:.1f}x")
-        assert speedup >= BITPACKED_FLOOR, (
-            f"bitpacked engine must be >={BITPACKED_FLOOR:.0f}x the uint8 "
-            f"batched engine on the Monte-Carlo shard, got {speedup:.1f}x"
+        speedup = bitpacked / _OBSERVED["scalar"]
+        lines.append(f"speedup over scalar: {speedup:.0f}x")
+        assert speedup >= SCALAR_FLOOR, (
+            f"bitpacked engine must be >={SCALAR_FLOOR:.0f}x the scalar "
+            f"engine on the Monte-Carlo shard, got {speedup:.1f}x"
         )
     emit({"rendered": "\n".join(lines)})
 
@@ -115,20 +107,6 @@ def _run(benchmark, backend, trials, cell):
     return trials / benchmark.stats.stats.mean
 
 
-def test_batched_kflip_throughput(benchmark):
-    batched = _run(benchmark, "batched", KFLIP_TRIALS, _KFLIP_CELL)
-    _KFLIP_OBSERVED["batched"] = batched
-    emit({"rendered": f"batched engine, k=2 plans: {batched:.0f} trials/sec"})
-
-
 def test_bitpacked_kflip_throughput(benchmark):
     bitpacked = _run(benchmark, "bitpacked", KFLIP_TRIALS, _KFLIP_CELL)
-    lines = [f"bitpacked engine, k=2 plans: {bitpacked:.0f} trials/sec"]
-    if "batched" in _KFLIP_OBSERVED:
-        ratio = bitpacked / _KFLIP_OBSERVED["batched"]
-        lines.append(f"ratio over batched (uint8): {ratio:.2f}x")
-        # Per-trial Python plan construction dominates this path on both
-        # engines; guard against regressing below the uint8 engine (with CI
-        # noise headroom) rather than asserting a speedup.
-        assert ratio >= 0.8, f"bitpacked k=2 shard fell below the uint8 engine: {ratio:.2f}x"
-    emit({"rendered": "\n".join(lines)})
+    emit({"rendered": f"bitpacked engine, k=2 plans: {bitpacked:.0f} trials/sec"})

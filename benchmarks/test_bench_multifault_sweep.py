@@ -16,7 +16,7 @@ engine:
 Both must produce identical coverage rows (the ISSUE 8 byte-identity
 acceptance), and on the tape engines the array path must be at least
 :data:`ARRAY_FLOOR` x faster end to end (the ISSUE 8 speedup acceptance;
-typical observed: ~5x batched, ~8x bitpacked).  The scalar engine executes
+typical observed: ~8x on the bitpacked engine).  The scalar engine executes
 trials one at a time either way, so its test only pins coverage identity.
 """
 
@@ -39,7 +39,7 @@ from repro.ecc.bch import bch_code_factory
 K = 2
 CHUNK = 4096
 #: Sweep repetitions per timing (the tape-engine sweeps are milliseconds).
-ROUNDS = {"scalar": 1, "batched": 5, "bitpacked": 5}
+ROUNDS = {"scalar": 1, "bitpacked": 5}
 
 #: Asserted end-to-end floor of the array-plan sweep over the dict-plan
 #: reference on the tape engines (ISSUE 8 acceptance criterion).
@@ -115,25 +115,10 @@ def test_scalar_multifault_sweep(benchmark):
     emit({"rendered": _render("scalar", combos, speedup)})
 
 
-def test_batched_multifault_sweep(benchmark):
-    combos, speedup = _bench_sweep(benchmark, "batched")
-    assert speedup >= ARRAY_FLOOR, (
-        f"array-plan sweep must be >={ARRAY_FLOOR:.0f}x the dict-plan "
-        f"reference on the uint8 batched engine, got {speedup:.1f}x"
-    )
-    emit({"rendered": _render("batched", combos, speedup)})
-
-
 def test_bitpacked_multifault_sweep(benchmark):
     combos, speedup = _bench_sweep(benchmark, "bitpacked")
     assert speedup >= ARRAY_FLOOR, (
         f"array-plan sweep must be >={ARRAY_FLOOR:.0f}x the dict-plan "
         f"reference on the bit-packed engine, got {speedup:.1f}x"
     )
-    lines = [_render("bitpacked", combos, speedup)]
-    if "batched" in _OBSERVED:
-        lines.append(
-            f"throughput over batched (uint8): "
-            f"{_OBSERVED['bitpacked'] / _OBSERVED['batched']:.1f}x"
-        )
-    emit({"rendered": "\n".join(lines)})
+    emit({"rendered": _render("bitpacked", combos, speedup)})

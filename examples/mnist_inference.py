@@ -23,7 +23,7 @@ error rates, run it through the campaign engine instead::
 
     PYTHONPATH=src python -m repro campaign \\
         --workloads mlp16 --schemes unprotected ecim \\
-        --rates 1e-3 1e-2 --trials 200 --application --backend batched
+        --rates 1e-3 1e-2 --trials 200 --application --backend bitpacked
 
 (``--application`` scores every trial against the integer oracle and
 reports argmax flips and output bit-error magnitude; see README

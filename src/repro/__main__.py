@@ -32,12 +32,11 @@ Commands
     ``--fault-model``, ``--min-error-rate``, ...), group (``--group-by``),
     and render rates with Wilson intervals as table, CSV or JSON.
 
-Execution-bound commands take ``--backend {scalar,batched,bitpacked}``:
+Execution-bound commands take ``--backend {scalar,bitpacked}``:
 ``scalar`` (default) walks the behavioural array per trial — the bit-exact
-legacy path — ``batched`` interprets a compiled instruction tape for all
-trials (or all fault sites) at once, and ``bitpacked`` interprets the same
-tape 64 trials per uint64 word (see :mod:`repro.core.backend`).
-``campaign`` keeps ``--engine`` as a deprecated alias of ``--backend``.
+legacy path and the oracle — and ``bitpacked`` interprets a compiled
+instruction tape for all trials (or all fault sites) at once, 64 per uint64
+word (see :mod:`repro.core.backend`).
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
-import warnings
 from typing import List, Optional
 
 from repro.core.backend import BACKEND_NAMES
@@ -161,18 +159,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.errors import ReproError
 
     backend = args.backend
-    if args.engine is not None:
-        warnings.warn(
-            "--engine is deprecated; use --backend", DeprecationWarning, stacklevel=2
-        )
-        if backend is not None and backend != args.engine:
-            print(
-                f"conflicting flags: --backend {backend} vs --engine {args.engine}",
-                file=sys.stderr,
-            )
-            return 1
-        backend = args.engine
-
     try:
         if args.spec is not None:
             with open(args.spec, "r", encoding="utf-8") as handle:
@@ -369,9 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", choices=BACKEND_CHOICES, default="scalar",
         help=(
             "execution backend for the exhaustive sweep: 'scalar' (default) "
-            "re-runs the object model once per fault site, 'batched' runs "
-            "every site as one row of a single tape interpretation, "
-            "'bitpacked' packs 64 sites per uint64 word of one tape pass"
+            "re-runs the object model once per fault site, 'bitpacked' runs "
+            "every site as one lane of a single tape pass, 64 sites per "
+            "uint64 word"
         ),
     )
     sep_parser.add_argument(
@@ -527,17 +513,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", choices=BACKEND_CHOICES, default=None,
         help=(
             "execution backend: 'scalar' walks the behavioural array per "
-            "trial (bit-exact legacy results, the default), 'batched' "
-            "compiles the cell to an instruction tape and runs each shard "
-            "as one numpy bit-matrix (~2 orders of magnitude faster; "
-            "Philox-seeded, reproducible for a fixed seed), 'bitpacked' "
-            "interprets that tape as uint64 bitplanes, 64 trials per word "
-            "(fastest; skip-sampled fault streams, reproducible per seed)"
+            "trial (bit-exact legacy results, the default), 'bitpacked' "
+            "compiles the cell to an instruction tape and interprets each "
+            "shard as uint64 bitplanes, 64 trials per word (orders of "
+            "magnitude faster; skip-sampled fault streams under the default "
+            "fault model, reproducible per seed; --fault-model runs are "
+            "byte-identical to scalar)"
         ),
-    )
-    campaign_parser.add_argument(
-        "--engine", choices=BACKEND_CHOICES, default=None,
-        help="deprecated alias for --backend",
     )
     campaign_parser.add_argument(
         "--name", default="cli-campaign", help="campaign name (cosmetic, shown in the table title)"

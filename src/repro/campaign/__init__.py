@@ -50,7 +50,6 @@ from repro.campaign.checkpoint import CheckpointStore
 from repro.campaign.runner import CampaignResult, run_campaign
 from repro.campaign.spec import (
     CAMPAIGN_BACKENDS,
-    CAMPAIGN_ENGINES,
     CAMPAIGN_SCHEMES,
     CampaignCell,
     CampaignSpec,
@@ -71,7 +70,6 @@ __all__ = [
     "APPLICATION_WORKLOADS",
     "ApplicationWorkload",
     "CAMPAIGN_BACKENDS",
-    "CAMPAIGN_ENGINES",
     "CAMPAIGN_SCHEMES",
     "CAMPAIGN_WORKLOADS",
     "COUNT_KEYS",

@@ -22,7 +22,7 @@ variable:
 
 Because stratified trials execute as deterministic
 :class:`~repro.core.faultplan.FaultPlanArrays` plans (no stochastic injector
-involved), their counters are byte-identical across the scalar, batched and
+involved), their counters are byte-identical across the scalar and
 bitpacked backends.
 
 Trial allocation across strata is either **proportional** (``n_k`` tracks

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -34,7 +33,6 @@ from repro.pim.faults import parse_fault_model
 __all__ = [
     "CAMPAIGN_SCHEMES",
     "CAMPAIGN_BACKENDS",
-    "CAMPAIGN_ENGINES",
     "CampaignCell",
     "ShardTask",
     "CampaignSpec",
@@ -45,40 +43,15 @@ __all__ = [
 CAMPAIGN_SCHEMES = ("unprotected", "ecim", "trim")
 
 #: Trial execution backends: ``scalar`` walks the behavioural array per trial
-#: (the bit-exact legacy path), ``batched`` interprets a compiled instruction
-#: tape for a whole shard at once — the campaign view of
-#: :data:`repro.core.backend.BACKEND_NAMES`.
+#: (the bit-exact legacy path), ``bitpacked`` interprets a compiled
+#: instruction tape for a whole shard at once, 64 trials per word — the
+#: campaign view of :data:`repro.core.backend.BACKEND_NAMES`.
 CAMPAIGN_BACKENDS = BACKEND_NAMES
 
-#: Deprecated alias (pre-backend name of the same choice set); kept so old
-#: imports and spec files keep working.
-CAMPAIGN_ENGINES = CAMPAIGN_BACKENDS
 
-
-def _resolve_backend(backend: Optional[str], engine: Optional[str], owner: str) -> str:
-    """Map the deprecated ``engine`` alias onto ``backend`` and validate.
-
-    ``backend`` defaults to None rather than "scalar" so that an *explicitly*
-    requested backend is distinguishable from the default: a stale ``engine``
-    keyword must never silently override an explicit ``backend`` in either
-    direction.
-    """
-    backend = None if backend is None else str(backend).strip().lower()
-    if engine is not None:
-        warnings.warn(
-            f"{owner}.engine is deprecated; use {owner}.backend",
-            DeprecationWarning,
-            stacklevel=4,
-        )
-        engine = str(engine).strip().lower()
-        if backend is not None and backend != engine:
-            raise EvaluationError(
-                f"conflicting execution backends: engine={engine!r} "
-                f"vs backend={backend!r}"
-            )
-        backend = engine
-    if backend is None:
-        backend = "scalar"
+def _resolve_backend(backend: Optional[str]) -> str:
+    """Normalise and validate a backend name (unset means ``scalar``)."""
+    backend = "scalar" if backend is None else str(backend).strip().lower()
     if backend not in CAMPAIGN_BACKENDS:
         raise EvaluationError(
             f"unknown backend {backend!r}; expected one of {CAMPAIGN_BACKENDS}"
@@ -210,7 +183,6 @@ class ShardTask:
     n_trials: int
     campaign_seed: int
     backend: Optional[str] = None  # resolves to "scalar" when unset
-    engine: Optional[str] = None  # deprecated alias for ``backend``
     #: Estimator grammar string (canonical form) governing how this shard's
     #: trials are drawn and weighted; unset means the legacy uniform path.
     estimator: Optional[str] = None
@@ -226,9 +198,7 @@ class ShardTask:
             raise EvaluationError("a shard must contain at least one trial")
         if self.start_trial < 0 or self.shard_index < 0:
             raise EvaluationError("shard indices must be non-negative")
-        backend = _resolve_backend(self.backend, self.engine, "ShardTask")
-        object.__setattr__(self, "backend", backend)
-        object.__setattr__(self, "engine", backend)
+        object.__setattr__(self, "backend", _resolve_backend(self.backend))
         object.__setattr__(
             self, "estimator", _canonical_estimator(self.estimator, "ShardTask")
         )
@@ -268,7 +238,6 @@ class CampaignSpec:
     multi_output: bool = True
     backend: Optional[str] = None  # resolves to "scalar" when unset
     name: str = "campaign"
-    engine: Optional[str] = None  # deprecated alias for ``backend``
     #: When set, every trial injects exactly this many simultaneous flips at
     #: uniformly drawn fault sites (deterministic k-flip plans derived from
     #: the trial's fault seed) instead of the stochastic rate model; the
@@ -302,11 +271,7 @@ class CampaignSpec:
         object.__setattr__(self, "workloads", _lowered(self.workloads))
         object.__setattr__(self, "schemes", _lowered(self.schemes))
         object.__setattr__(self, "technologies", _lowered(self.technologies))
-        backend = _resolve_backend(self.backend, self.engine, "CampaignSpec")
-        object.__setattr__(self, "backend", backend)
-        # The alias mirrors the resolved backend so legacy readers of
-        # ``spec.engine`` keep working; ``to_dict`` drops it.
-        object.__setattr__(self, "engine", backend)
+        object.__setattr__(self, "backend", _resolve_backend(self.backend))
         # Coerce numeric fields (a JSON spec file may carry "100" for 100);
         # coercion also keeps spec_hash() canonical, so an int-seed spec and
         # its string-seed twin resume each other's checkpoints.
@@ -444,9 +409,6 @@ class CampaignSpec:
         data = asdict(self)
         for key in ("workloads", "schemes", "technologies", "gate_error_rates"):
             data[key] = list(data[key])
-        # The deprecated alias always mirrors ``backend``; serialising it
-        # would make every round trip re-trigger the deprecation path.
-        data.pop("engine", None)
         # faults_per_trial / fault_model serialise only when set: the
         # canonical dict (and hence spec_hash) of every pre-existing spec is
         # unchanged, so old checkpoints and spec files stay resumable.
@@ -485,11 +447,11 @@ class CampaignSpec:
         (including the seed) makes old shard results unusable, and the hash is
         how the store knows.  The cosmetic ``name`` is excluded, and so is
         the backend while it holds its default (``scalar``) — keeping every
-        pre-backend checkpoint resumable — whereas ``batched`` runs hash
-        differently because their fault streams are Philox- rather than
-        ``random.Random``-derived.  The canonical form keeps the field's
-        historical ``engine`` key so checkpoints written before the rename
-        resume under either spelling.
+        pre-backend checkpoint resumable — whereas ``bitpacked`` runs hash
+        differently because their legacy fault streams are skip-sampled
+        rather than ``random.Random``-per-site.  The canonical form keeps the
+        field's historical ``engine`` key, so existing checkpoints keep
+        their hash.
         """
         data = self.to_dict()
         data.pop("name", None)

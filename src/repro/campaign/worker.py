@@ -16,8 +16,9 @@ for 1 or N workers" a structural property rather than a testing aspiration:
 * trial execution goes through the
   :class:`~repro.core.backend.ExecutionBackend` protocol — the **scalar**
   backend reuses one executor per cell configuration through the ``reset``
-  fast path, the **batched** backend interprets one compiled instruction
-  tape per cell configuration over the whole shard at once — so the engine
+  fast path, the **bitpacked** backend interprets one compiled instruction
+  tape per cell configuration over the whole shard at once, 64 trials per
+  word — so the engine
   dispatch lives in :func:`repro.core.backend.make_backend`, not here;
 * scalar backends get a :class:`~repro.pim.operations.NullTrace` because
   campaigns only consume outcome counters, not timing/energy traces.
@@ -69,9 +70,9 @@ CACHE_LIMIT = 8
 #: configuration, least-recently-used entries evicted beyond CACHE_LIMIT.
 _EXECUTOR_CACHE: "BoundedCache" = BoundedCache(CACHE_LIMIT)
 
-#: Per-process tape backends (batched uint8 and bitpacked uint64 engines,
-#: keyed by engine name).  Plans are technology-independent (timing/energy
-#: never enter trial outcomes), hence the shorter key.
+#: Per-process tape backends, keyed by backend name.  Plans are
+#: technology-independent (timing/energy never enter trial outcomes), hence
+#: the shorter key.
 _PLAN_CACHE: "BoundedCache" = BoundedCache(CACHE_LIMIT)
 
 
@@ -88,10 +89,10 @@ def build_executor(cell: CampaignCell):
 
 
 def build_plan(cell: CampaignCell):
-    """Compile a fresh batched execution plan for ``cell`` (no cache)."""
+    """Compile a fresh tape execution plan for ``cell`` (no cache)."""
     netlist = get_campaign_workload(cell.workload).netlist
     return make_backend(
-        "batched", netlist, cell.scheme, multi_output=cell.multi_output
+        "bitpacked", netlist, cell.scheme, multi_output=cell.multi_output
     ).plan
 
 
@@ -112,7 +113,7 @@ def _executor_for(cell: CampaignCell) -> ExecutionBackend:
     return _EXECUTOR_CACHE.lookup(key, build)
 
 
-def _plan_for(cell: CampaignCell, backend: str = "batched") -> ExecutionBackend:
+def _plan_for(cell: CampaignCell, backend: str = "bitpacked") -> ExecutionBackend:
     # Plans are technology-independent (timing/energy never enter trial
     # outcomes), but an unknown technology must fail here just like the
     # scalar backend's executor construction does — and before the cache,
@@ -241,7 +242,7 @@ def _multi_fault_plan(
     enumeration; because both backends enumerate sites identically (a PR-3
     invariant) and k-flip plans execute bit-exactly on both, a
     ``faults_per_trial`` campaign produces byte-identical counters on the
-    scalar and batched backends.
+    scalar and bitpacked backends.
 
     The ``random.Random(seed).sample`` draws are a pinned invariant (the
     golden campaign counters depend on them byte-for-byte); only the plan

@@ -11,7 +11,6 @@ from repro.core.area import (
 )
 from repro.core.backend import (
     BACKEND_NAMES,
-    BatchedBackend,
     BitpackedBackend,
     ExecutionBackend,
     FaultSite,
@@ -24,9 +23,7 @@ from repro.core.backend import (
 from repro.core.batched import (
     BatchResult,
     ExecutionPlan,
-    batched_golden_outputs,
     compile_plan,
-    run_batch,
     sample_input_matrix,
 )
 from repro.core.bitpacked import (
@@ -116,19 +113,16 @@ __all__ = [
     "BACKEND_NAMES",
     "ExecutionBackend",
     "ScalarBackend",
-    "BatchedBackend",
     "BitpackedBackend",
     "TrialOutcomes",
     "make_backend",
     "as_backend",
     "derive_seed",
-    # batched trial engine
+    # plan compiler
     "ExecutionPlan",
     "BatchResult",
     "compile_plan",
-    "run_batch",
     "sample_input_matrix",
-    "batched_golden_outputs",
     # bit-packed trial engine
     "SoaPlan",
     "lower_plan",

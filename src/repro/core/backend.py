@@ -1,39 +1,36 @@
 """Unified execution backends: one protocol over the scalar object model and
-the batched tape interpreter.
+the bit-packed tape engine.
 
-Before this module, every consumer of netlist execution picked its engine by
-construction: the exhaustive SEP sweep (:mod:`repro.core.sep`) and the
-Monte-Carlo coverage loop (:mod:`repro.core.coverage`) built scalar
-executors one trial at a time, while the ~200x batched tape interpreter
-(:mod:`repro.core.batched`) was reachable only from the campaign worker.
-:class:`ExecutionBackend` is the common substrate: a backend is bound to one
-(netlist, scheme, gate style) configuration and runs *batches of trials* —
-fault free, under deterministic per-trial fault plans, or under the
-stochastic fault model — returning per-trial outcome vectors
-(:class:`TrialOutcomes`) with the campaign's counter schema.
+:class:`ExecutionBackend` is the common substrate every consumer of netlist
+execution runs on — the exhaustive SEP sweep (:mod:`repro.core.sep`), the
+Monte-Carlo coverage loop (:mod:`repro.core.coverage`) and the campaign
+worker.  A backend is bound to one (netlist, scheme, gate style)
+configuration and runs *batches of trials* — fault free, under
+deterministic per-trial fault plans, or under a stochastic fault model —
+returning per-trial outcome vectors (:class:`TrialOutcomes`) with the
+campaign's counter schema.
 
-Three implementations:
+Two implementations:
 
-* :class:`ScalarBackend` — wraps the executor object model
+* :class:`ScalarBackend` — the oracle.  It wraps the executor object model
   (:class:`~repro.core.executor.EcimExecutor` and friends).  One executor is
   built per backend and reused across trials through the ``reset()`` fast
   path; fault streams are the bit-exact legacy ``random.Random`` ones, so
   every artefact produced through this backend is byte-identical to the
   pre-protocol code.
-* :class:`BatchedBackend` — wraps the compiled instruction tape of
-  :func:`~repro.core.batched.compile_plan` / ``run_batch``.  A whole trial
-  batch is one numpy pass; deterministic fault plans map each batch row to a
-  single ``{operation index: output position}`` flip, which is what lets the
-  exhaustive single-fault sweep run with *fault site as the batch dimension*.
-* :class:`BitpackedBackend` — the same tape lowered to structure-of-arrays
-  form (:func:`~repro.core.soa.lower_plan`) and interpreted 64 trials per
-  ``uint64`` word (:func:`~repro.core.bitpacked.run_packed`); each gate
-  firing is a handful of branch-free bitwise word ops over the whole batch.
+* :class:`BitpackedBackend` — the one tape engine.  The netlist execution
+  is compiled to an instruction tape (:func:`~repro.core.batched.compile_plan`),
+  lowered to structure-of-arrays form (:func:`~repro.core.soa.lower_plan`)
+  and interpreted 64 trials per ``uint64`` word
+  (:func:`~repro.core.bitpacked.run_packed); each gate firing is a handful
+  of branch-free bitwise word ops over the whole batch.  Deterministic
+  fault plans map each batch row to its own flips, which is what lets the
+  exhaustive fault sweeps run with *fault site as the batch dimension*.
 
 Equivalence contract (enforced by ``tests/core/test_sep.py``,
 ``tests/core/test_backend.py`` and ``tests/differential/``): fault-free,
 deterministic fault-plan and declarative ``fault_model`` executions are
-exactly equal between all backends, per trial and per site; legacy
+exactly equal between the backends, per trial and per site; legacy
 ``model=`` stochastic executions are statistically equivalent (same
 per-site Bernoulli model, backend-owned RNG streams) and reproducible for a
 fixed seed on each.
@@ -51,7 +48,7 @@ from typing import Callable, ClassVar, Dict, List, Mapping, Optional, Sequence, 
 import numpy as np
 
 from repro.compiler.netlist import Netlist
-from repro.core.batched import ExecutionPlan, GateStep, compile_plan, run_batch
+from repro.core.batched import ExecutionPlan, GateStep, compile_plan
 from repro.core.bitpacked import run_packed
 from repro.core.faultplan import FaultPlanArrays
 from repro.core.executor import EXECUTORS_BY_SCHEME, ExecutionReport
@@ -74,7 +71,6 @@ __all__ = [
     "TrialOutcomes",
     "ExecutionBackend",
     "ScalarBackend",
-    "BatchedBackend",
     "BitpackedBackend",
     "make_backend",
     "as_backend",
@@ -160,7 +156,7 @@ class FaultSite:
     verbatim between the scalar array and the compiled tape), and
     ``output_position`` the zero-based output cell within that firing — the
     pair both :class:`~repro.pim.faults.DeterministicFaultInjector` and the
-    batched ``fault_plan`` target.
+    tape engine's ``fault_plan`` target.
     """
 
     operation_index: int
@@ -176,7 +172,7 @@ class TrialOutcomes:
     """Per-trial outcome vectors of one backend batch (the protocol result).
 
     The scalar backend derives these from per-trial
-    :class:`~repro.core.executor.ExecutionReport` objects; the batched
+    :class:`~repro.core.executor.ExecutionReport` objects; the bit-packed
     backend from a :class:`~repro.core.batched.BatchResult`.  Either way the
     classification taxonomy is the campaign's four-way split.
     """
@@ -239,8 +235,8 @@ class ExecutionBackend(abc.ABC):
       sweep, position lists for k simultaneous flips);
     * a stochastic ``model`` with one ``fault_seeds`` entry per trial (the
       legacy Monte-Carlo form: bit-exact ``random.Random`` streams on the
-      scalar backend, Philox on the batched one — statistically, not
-      byte-wise, equivalent);
+      scalar backend, skip-sampled ones on the bit-packed one —
+      statistically, not byte-wise, equivalent);
     * a declarative ``fault_model``
       (:class:`~repro.pim.faults.FaultModelSpec`: stochastic, burst or
       stuck-at), with ``fault_seeds`` whenever the model draws
@@ -502,7 +498,7 @@ class ScalarBackend(ExecutionBackend):
         if fault_model is not None and fault_model.is_error_free:
             fault_model = None
         if fault_model is not None:
-            # One shared bounds rule with the batched interpreter: a stuck
+            # One shared bounds rule with the tape engine: a stuck
             # cell the execution never touches must fail fast, not
             # masquerade as fault-free coverage.
             try:
@@ -586,11 +582,13 @@ class ScalarBackend(ExecutionBackend):
             executor.array.trace = saved_trace
 
 
-class BatchedBackend(ExecutionBackend):
-    """The compiled instruction tape behind the backend protocol (numpy
-    bit-matrix interpretation, Philox fault streams)."""
+class BitpackedBackend(ExecutionBackend):
+    """The compiled instruction tape behind the backend protocol, lowered to
+    structure-of-arrays form and interpreted 64 trials per uint64 word
+    (:mod:`repro.core.bitpacked`): branch-free word-op gates over bitplane
+    state, sparse per-step flip events for every fault source."""
 
-    name = "batched"
+    name = "bitpacked"
 
     def __init__(
         self,
@@ -612,6 +610,7 @@ class BatchedBackend(ExecutionBackend):
         self.multi_output = multi_output
         self._plan = plan
         self._code_factory = code_factory
+        self._soa: Optional[SoaPlan] = None
 
     @property
     def plan(self) -> ExecutionPlan:
@@ -624,89 +623,6 @@ class BatchedBackend(ExecutionBackend):
                 self.netlist, self.scheme, multi_output=self.multi_output, **kwargs
             )
         return self._plan
-
-    def run_trials(
-        self,
-        inputs: TrialInputs,
-        *,
-        n_trials: Optional[int] = None,
-        fault_plan: Optional[FaultPlans] = None,
-        model: Optional[FaultModel] = None,
-        fault_seeds: Optional[Sequence[int]] = None,
-        fault_model: Optional[FaultModelSpec] = None,
-        capture_outputs: bool = False,
-    ) -> TrialOutcomes:
-        matrix = self._input_matrix(inputs, n_trials)
-        self._validate_fault_args(matrix.shape[0], fault_plan, model, fault_seeds, fault_model)
-        if fault_model is not None and fault_model.is_error_free:
-            fault_model = None
-        result = run_batch(
-            self.plan,
-            matrix,
-            model=model,
-            fault_seeds=fault_seeds,
-            fault_plan=fault_plan,
-            fault_model=fault_model,
-        )
-        return TrialOutcomes(
-            outputs_correct=result.outputs_correct,
-            detected=result.detected,
-            corrections=result.corrections,
-            uncorrectable_levels=result.uncorrectable_levels,
-            faults_injected=result.faults_injected,
-            outputs=result.outputs if capture_outputs else None,
-        )
-
-    def enumerate_sites(
-        self, input_values: Optional[Mapping[int, int]] = None
-    ) -> List[FaultSite]:
-        """Walk the compiled tape — the schedule is input-independent, so no
-        execution is needed (``input_values`` is accepted for protocol
-        symmetry and ignored)."""
-        sites: List[FaultSite] = []
-        for step in self.plan.steps:
-            if not isinstance(step, GateStep):
-                continue
-            for position in range(step.output_cols.shape[0]):
-                sites.append(
-                    FaultSite(
-                        operation_index=step.op_index,
-                        output_position=position,
-                        gate=step.gate,
-                        is_metadata=step.is_metadata,
-                        logic_level=step.logic_level,
-                        column=int(step.output_cols[position]),
-                    )
-                )
-        return sites
-
-
-class BitpackedBackend(BatchedBackend):
-    """The structure-of-arrays tape interpreted 64 trials per uint64 word
-    (:mod:`repro.core.bitpacked`): branch-free word-op gates over bitplane
-    state, Philox-exact declarative fault masks, geometric skip-sampled
-    legacy streams.
-
-    Shares the batched backend's construction surface and compiled
-    :class:`ExecutionPlan` (the SoA form is lowered lazily from it), so site
-    enumeration and spec vocabulary are identical by construction.
-    """
-
-    name = "bitpacked"
-
-    def __init__(
-        self,
-        netlist: Netlist,
-        scheme: str,
-        multi_output: bool = True,
-        plan: Optional[ExecutionPlan] = None,
-        code_factory: Optional[Callable[[int], object]] = None,
-    ) -> None:
-        super().__init__(
-            netlist, scheme, multi_output=multi_output, plan=plan,
-            code_factory=code_factory,
-        )
-        self._soa: Optional[SoaPlan] = None
 
     @property
     def soa(self) -> SoaPlan:
@@ -747,13 +663,36 @@ class BitpackedBackend(BatchedBackend):
             outputs=result.outputs if capture_outputs else None,
         )
 
+    def enumerate_sites(
+        self, input_values: Optional[Mapping[int, int]] = None
+    ) -> List[FaultSite]:
+        """Walk the compiled tape — the schedule is input-independent, so no
+        execution is needed (``input_values`` is accepted for protocol
+        symmetry and ignored)."""
+        sites: List[FaultSite] = []
+        for step in self.plan.steps:
+            if not isinstance(step, GateStep):
+                continue
+            for position in range(step.output_cols.shape[0]):
+                sites.append(
+                    FaultSite(
+                        operation_index=step.op_index,
+                        output_position=position,
+                        gate=step.gate,
+                        is_metadata=step.is_metadata,
+                        logic_level=step.logic_level,
+                        column=int(step.output_cols[position]),
+                    )
+                )
+        return sites
+
 
 #: Registered execution backends, in default-first order.  ``scalar`` is the
-#: bit-exact legacy path and stays the default everywhere; adding a backend
+#: bit-exact legacy path (the oracle) and stays the default everywhere; adding a backend
 #: here is the one-line registration that wires it into ``make_backend``,
 #: every ``--backend`` CLI choice and the differential/golden harnesses.
 _BACKENDS = {
-    cls.name: cls for cls in (ScalarBackend, BatchedBackend, BitpackedBackend)
+    cls.name: cls for cls in (ScalarBackend, BitpackedBackend)
 }
 
 BACKEND_NAMES = tuple(_BACKENDS)

@@ -1,70 +1,54 @@
-"""Batched trial engine: compile netlist executions to instruction tapes and
-run thousands of Monte-Carlo trials as numpy bit-matrices.
+"""Plan compiler: lower netlist executions to instruction tapes, plus the
+fault-injection state the bit-packed tape engine shares.
 
-Architecture note
------------------
 The scalar executors (:mod:`repro.core.executor`) walk the full Python object
 model per trial — a cell dict per bit, a method call per gate output — which
 caps fault-injection campaigns at tens of trials per second.  The key
 observation is that their *control flow is data-independent*: for a fixed
 (netlist, scheme, gate style) the exact sequence of presets, gate firings,
 checker reads and check decisions is the same for every trial; only the cell
-values and injected faults differ.  This module exploits that in two stages:
+values and injected faults differ.  :func:`compile_plan` exploits that: it
+instantiates the corresponding scalar executor purely for its column layout
+and lowers its ``run()`` schedule into a flat tape of steps with precomputed
+site indices:
 
-1. **Plan compiler** — :func:`compile_plan` instantiates the corresponding
-   scalar executor purely for its column layout and lowers its ``run()``
-   schedule into a flat tape of steps with precomputed site indices:
+* :class:`GateStep` — one in-array gate firing, carrying the same global
+  operation index the scalar array would assign, so deterministic fault
+  plans target identical sites;
+* :class:`PresetStep` / :class:`ReadStep` — architectural presets and
+  checker-transfer reads (the points where preset and idle-cell memory
+  errors strike);
+* :class:`EcimCheckStep` — a GF(2) syndrome operator
+  (``S = data @ A[: , :d]^T ⊕ parity``) plus a dense syndrome→position
+  lookup table derived from the code's parity-check matrix
+  (:mod:`repro.ecc`);
+* :class:`TrimCheckStep` — a majority vote across the redundant copies.
 
-   * :class:`GateStep` — one in-array gate firing (truth-table lookup via
-     :mod:`repro.pim.vector`), carrying the same global operation index the
-     scalar array would assign, so deterministic single-fault plans target
-     identical sites;
-   * :class:`PresetStep` / :class:`ReadStep` — architectural presets and
-     checker-transfer reads (the points where preset and idle-cell memory
-     errors strike);
-   * :class:`EcimCheckStep` — a batched GF(2) syndrome matvec
-     (``S = data @ A[: , :d]^T ⊕ parity``) plus a dense syndrome→position
-     lookup table derived from the code's parity-check matrix
-     (:mod:`repro.ecc`), applying single-bit corrections per trial;
-   * :class:`TrimCheckStep` — a popcount majority vote across the redundant
-     copies with per-trial correction write-back.
-
-2. **Interpreter** — :func:`run_batch` executes the tape once for B trials on
-   a ``(B, n_cols)`` uint8 state matrix.  Stochastic fault injection draws a
-   per-trial uniform stream from ``numpy.random.Philox`` keyed by the trial's
-   campaign seed, consumed in tape order — so each trial's outcome depends
-   only on its own seed, never on batch composition (the same trial lands in
-   the same place whether the shard holds 10 or 10,000 trials).
-
-Determinism contract: the **scalar** engine remains the bit-exact legacy
-path (``random.Random`` fault streams); the **batched** engine is exactly
-equivalent on fault-free and deterministic fault-plan executions and
-statistically equivalent (same per-site Bernoulli model, Philox-seeded,
-reproducible for a fixed seed) on legacy ``model=FaultModel(...)`` stochastic
-ones.  Executions under the unified fault-model layer
-(``fault_model=FaultModelSpec(...)``: stochastic, burst, stuck-at) are
-**byte-identical** to the scalar injectors on shared per-trial seeds, because
-both sides consume one Philox stream per trial in tape order (see
-:class:`~repro.pim.faults.FaultModelSpec` and ``tests/differential``).
-Input sampling is shared bit-for-bit with the scalar path via
-:func:`sample_input_matrix`.
+The tape is lowered once more to structure-of-arrays form
+(:mod:`repro.core.soa`) and interpreted 64 trials per word by
+:mod:`repro.core.bitpacked`, the one tape engine; the scalar object model
+stays the oracle it must match.  This module also keeps the pieces of
+per-trial state that engine shares: :class:`BatchResult`, the per-trial
+Philox streams of :func:`_uniform_streams` (keyed by the trial's campaign
+seed, so a trial's outcome depends only on its own seed, never on batch
+composition), the burst state machine :class:`_BurstInjection` and the
+stuck-cell table :class:`_StuckCells`.  Input sampling is shared
+bit-for-bit with the scalar path via :func:`sample_input_matrix`.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.compiler.netlist import Netlist
 from repro.core.executor import EcimExecutor, TrimExecutor, UnprotectedExecutor
-from repro.core.faultplan import FaultPlanArrays
 from repro.errors import PimError, ProtectionError
-from repro.pim.faults import FaultModel, FaultModelSpec, normalize_flip_positions
+from repro.pim.faults import FaultModelSpec
 from repro.pim.gates import GateType
-from repro.pim.vector import apply_deterministic_flips, vector_gate_output
 
 __all__ = [
     "GateStep",
@@ -75,9 +59,7 @@ __all__ = [
     "ExecutionPlan",
     "BatchResult",
     "compile_plan",
-    "run_batch",
     "sample_input_matrix",
-    "batched_golden_outputs",
 ]
 
 
@@ -442,25 +424,6 @@ def compile_plan(
 
 
 # ---------------------------------------------------------------------- #
-# Batched golden model
-# ---------------------------------------------------------------------- #
-def batched_golden_outputs(netlist: Netlist, input_matrix: np.ndarray) -> np.ndarray:
-    """Fault-free netlist outputs for all B trials: the batched counterpart
-    of :meth:`Netlist.evaluate_outputs`."""
-    batch = input_matrix.shape[0]
-    values: Dict[int, np.ndarray] = {
-        Netlist.CONST_ZERO: np.zeros(batch, dtype=np.uint8),
-        Netlist.CONST_ONE: np.ones(batch, dtype=np.uint8),
-    }
-    for position, signal in enumerate(netlist.inputs):
-        values[signal] = np.ascontiguousarray(input_matrix[:, position], dtype=np.uint8)
-    for node in netlist.gates:
-        operands = np.stack([values[s] for s in node.inputs], axis=1)
-        values[node.output] = vector_gate_output(node.gate, operands, node.threshold)
-    return np.stack([values[s] for s in netlist.outputs], axis=1)
-
-
-# ---------------------------------------------------------------------- #
 # Input sampling
 # ---------------------------------------------------------------------- #
 def sample_input_matrix(netlist: Netlist, seeds: Sequence[int]) -> np.ndarray:
@@ -476,7 +439,7 @@ def sample_input_matrix(netlist: Netlist, seeds: Sequence[int]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------- #
-# Batch interpretation
+# Batch outcomes and shared fault-injection state
 # ---------------------------------------------------------------------- #
 @dataclass(eq=False, frozen=True)
 class BatchResult:
@@ -497,42 +460,6 @@ class BatchResult:
     def outputs_correct(self) -> np.ndarray:
         return (self.outputs == self.golden).all(axis=1)
 
-    def counts(self) -> Dict[str, int]:
-        """Summed outcome counters, schema-identical to
-        ``repro.campaign.aggregate.COUNT_KEYS`` (kept import-free to preserve
-        the core → campaign layering)."""
-        correct = self.outputs_correct
-        detected = self.detected
-        return {
-            "trials": self.n_trials,
-            "correct": int(correct.sum()),
-            "clean": int((correct & ~detected).sum()),
-            "recovered": int((correct & detected).sum()),
-            "detected": int(detected.sum()),
-            "detected_corruption": int((~correct & detected).sum()),
-            "silent_corruption": int((~correct & ~detected).sum()),
-            "corrections": int(self.corrections.sum()),
-            "uncorrectable_levels": int(self.uncorrectable_levels.sum()),
-            "faults_injected": int(self.faults_injected.sum()),
-            "faulty_trials": int((self.faults_injected > 0).sum()),
-        }
-
-
-def _step_draws(step: PlanStep, model: FaultModel) -> int:
-    """Uniform draws one trial consumes on this step (fixed per plan+model)."""
-    if isinstance(step, GateStep):
-        n_outputs = step.output_cols.shape[0]
-        draws = n_outputs if model.preset_error_rate > 0.0 else 0
-        rate = model.effective_metadata_error_rate if step.is_metadata else model.gate_error_rate
-        if rate > 0.0:
-            draws += n_outputs
-        return draws
-    if isinstance(step, PresetStep):
-        return step.columns.shape[0] if model.preset_error_rate > 0.0 else 0
-    if isinstance(step, ReadStep):
-        return step.columns.shape[0] if model.memory_error_rate > 0.0 else 0
-    return 0
-
 
 def _uniform_streams(seeds: Sequence[int], n_draws: int) -> np.ndarray:
     """One Philox-generated uniform stream per trial.
@@ -545,20 +472,6 @@ def _uniform_streams(seeds: Sequence[int], n_draws: int) -> np.ndarray:
         generator = np.random.Generator(np.random.Philox(key=int(seed)))
         streams[row] = generator.random(n_draws)
     return streams
-
-
-def _burst_step_draws(step: PlanStep, spec: FaultModelSpec) -> int:
-    """Worst-case uniform draws one trial consumes on this step under the
-    burst model (a trial inside a burst skips its gate-output draws, so this
-    is the stream *capacity*, consumed through per-trial cursors)."""
-    if isinstance(step, GateStep):
-        # The scalar burst injector draws from one stream for every gate
-        # output, metadata included (it folds metadata into the gate rate),
-        # and never corrupts presets.
-        return step.output_cols.shape[0] if (spec.gate_error_rate or 0.0) > 0.0 else 0
-    if isinstance(step, ReadStep):
-        return step.columns.shape[0] if (spec.memory_error_rate or 0.0) > 0.0 else 0
-    return 0
 
 
 class _BurstInjection:
@@ -656,223 +569,3 @@ class _StuckCells:
         flips = (state[:, stuck_cols] != self.value).sum(axis=1, dtype=np.int64)
         state[:, stuck_cols] = self.value
         return flips
-
-
-def _deterministic_targets(
-    fault_plan: Union[Sequence[Mapping[int, object]], FaultPlanArrays],
-) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
-    """Regroup a batch of deterministic plans by operation.
-
-    :class:`~repro.core.faultplan.FaultPlanArrays` batches group with one
-    stable argsort (no per-trial Python work); per-trial dict plans take
-    the historical loop, de-duplicating positions per (trial, operation)
-    through :func:`~repro.pim.faults.normalize_flip_positions` to match
-    the scalar injector's one-flip-per-site semantics.
-    """
-    if isinstance(fault_plan, FaultPlanArrays):
-        return fault_plan.targets_by_op()
-    by_op: Dict[int, Tuple[List[int], List[int]]] = {}
-    for trial, targets in enumerate(fault_plan):
-        for op_index, entry in (targets or {}).items():
-            rows, positions = by_op.setdefault(int(op_index), ([], []))
-            for position in sorted(normalize_flip_positions(entry)):
-                rows.append(trial)
-                positions.append(position)
-    return {
-        op: (np.asarray(rows, dtype=np.intp), np.asarray(positions, dtype=np.intp))
-        for op, (rows, positions) in by_op.items()
-    }
-
-
-def run_batch(
-    plan: ExecutionPlan,
-    input_matrix: np.ndarray,
-    model: Optional[FaultModel] = None,
-    fault_seeds: Optional[Sequence[int]] = None,
-    fault_plan: Union[Sequence[Mapping[int, int]], FaultPlanArrays, None] = None,
-    fault_model: Optional[FaultModelSpec] = None,
-) -> BatchResult:
-    """Interpret the tape for all B trials at once.
-
-    ``input_matrix`` is a ``(B, n_inputs)`` bit matrix in ``netlist.inputs``
-    order.  ``model`` configures per-site Bernoulli fault injection; when any
-    rate is non-zero, ``fault_seeds`` must supply one Philox key per trial.
-    ``fault_plan`` optionally injects deterministic faults — per trial a
-    mapping of global gate-operation index to the zero-based output
-    position(s) to flip (a single int or an iterable of positions, the
-    k-flip form), matching
-    :class:`~repro.pim.faults.DeterministicFaultInjector` semantics.
-
-    ``fault_model`` instead names a declarative
-    :class:`~repro.pim.faults.FaultModelSpec` (stochastic / burst /
-    stuck-at) and is exclusive with both ``model`` and ``fault_plan``.  The
-    stochastic kind reduces to ``model``; burst runs correlated-mask
-    injection through per-trial Philox cursors; stuck-at re-applies the
-    stuck value after every gate write to an afflicted cell and at every
-    checker-transfer read.  All three are byte-identical to the scalar
-    injectors built by :meth:`FaultModelSpec.make_injector` from the same
-    per-trial seeds.
-    """
-    burst: Optional[_BurstInjection] = None
-    stuck: Optional[_StuckCells] = None
-    matrix = np.asarray(input_matrix, dtype=np.uint8)
-    if matrix.ndim != 2 or matrix.shape[1] != plan.n_inputs:
-        raise ProtectionError(
-            f"input matrix must be (B, {plan.n_inputs}), got shape {matrix.shape}"
-        )
-    batch = matrix.shape[0]
-    if batch == 0:
-        raise ProtectionError("a batch needs at least one trial")
-    if fault_model is not None:
-        if (model is not None and not model.is_error_free) or fault_plan is not None:
-            raise ProtectionError(
-                "a batch takes one fault source: fault_model is exclusive "
-                "with model and fault_plan"
-            )
-        if fault_model.kind == "stochastic":
-            model = fault_model.rate_model()
-        elif fault_model.kind == "stuck-at":
-            stuck = _StuckCells(fault_model, plan.n_cols)
-        elif not fault_model.is_error_free:  # burst
-            burst_draws = sum(_burst_step_draws(step, fault_model) for step in plan.steps)
-            if fault_seeds is None or len(fault_seeds) != batch:
-                raise ProtectionError(
-                    "burst fault injection needs one fault seed per trial "
-                    f"(got {None if fault_seeds is None else len(fault_seeds)} "
-                    f"for {batch} trials)"
-                )
-            burst = _BurstInjection(fault_model, _uniform_streams(fault_seeds, burst_draws))
-    model = model if model is not None else FaultModel()
-
-    n_draws = sum(_step_draws(step, model) for step in plan.steps)
-    if n_draws:
-        if fault_seeds is None or len(fault_seeds) != batch:
-            raise ProtectionError(
-                "stochastic fault injection needs one fault seed per trial "
-                f"(got {None if fault_seeds is None else len(fault_seeds)} for {batch} trials)"
-            )
-        streams = _uniform_streams(fault_seeds, n_draws)
-    else:
-        streams = None
-    targets = _deterministic_targets(fault_plan) if fault_plan is not None else {}
-    if fault_plan is not None and len(fault_plan) != batch:
-        raise ProtectionError("fault_plan must supply one entry per trial")
-
-    state = np.zeros((batch, plan.n_cols), dtype=np.uint8)
-    state[:, plan.const1_col] = 1
-    state[:, plan.input_cols] = matrix
-
-    detected = np.zeros(batch, dtype=bool)
-    corrections = np.zeros(batch, dtype=np.int64)
-    uncorrectable = np.zeros(batch, dtype=np.int64)
-    faults = np.zeros(batch, dtype=np.int64)
-    cursor = 0
-
-    def draw_mask(n_sites: int, rate: float) -> Optional[np.ndarray]:
-        nonlocal cursor
-        if rate <= 0.0:
-            return None
-        mask = streams[:, cursor:cursor + n_sites] < rate
-        cursor += n_sites
-        return mask
-
-    for step in plan.steps:
-        if isinstance(step, GateStep):
-            n_outputs = step.output_cols.shape[0]
-            if burst is not None:
-                ideal = vector_gate_output(step.gate, state[:, step.input_cols], step.threshold)
-                out = np.repeat(ideal[:, None], n_outputs, axis=1)
-                faults += burst.corrupt_gate_outputs(step.op_index, out)
-                state[:, step.output_cols] = out
-                continue
-            if stuck is not None:
-                ideal = vector_gate_output(step.gate, state[:, step.input_cols], step.threshold)
-                state[:, step.output_cols] = ideal[:, None]
-                faults += stuck.apply(state, step.output_cols)
-                continue
-            preset_mask = draw_mask(n_outputs, model.preset_error_rate)
-            if preset_mask is not None:
-                # Gate presets are overwritten by the firing itself; they
-                # only contribute fault events, never state.
-                faults += preset_mask.sum(axis=1)
-            ideal = vector_gate_output(step.gate, state[:, step.input_cols], step.threshold)
-            rate = (
-                model.effective_metadata_error_rate
-                if step.is_metadata
-                else model.gate_error_rate
-            )
-            flip_mask = draw_mask(n_outputs, rate)
-            det = targets.get(step.op_index)
-            if flip_mask is None and det is None:
-                state[:, step.output_cols] = ideal[:, None]
-                continue
-            out = np.repeat(ideal[:, None], n_outputs, axis=1)
-            if det is not None:
-                rows, positions = det
-                flipped = apply_deterministic_flips(out, rows, positions)
-                # A k-flip plan can strike one trial several times within the
-                # same operation; buffered fancy indexing would count those
-                # once, so accumulate unbuffered.
-                np.add.at(faults, flipped, 1)
-            if flip_mask is not None:
-                out ^= flip_mask
-                faults += flip_mask.sum(axis=1)
-            state[:, step.output_cols] = out
-        elif isinstance(step, PresetStep):
-            mask = draw_mask(step.columns.shape[0], model.preset_error_rate)
-            if mask is None:
-                state[:, step.columns] = step.value
-            else:
-                state[:, step.columns] = step.value ^ mask.astype(np.uint8)
-                faults += mask.sum(axis=1)
-        elif isinstance(step, ReadStep):
-            if burst is not None:
-                faults += burst.corrupt_stored_bits(state, step.columns)
-            elif stuck is not None:
-                faults += stuck.apply(state, step.columns)
-            else:
-                mask = draw_mask(step.columns.shape[0], model.memory_error_rate)
-                if mask is not None:
-                    state[:, step.columns] ^= mask.astype(np.uint8)
-                    faults += mask.sum(axis=1)
-        elif isinstance(step, EcimCheckStep):
-            data = state[:, step.data_cols].astype(np.int64)
-            parity = state[:, step.parity_cols].astype(np.int64)
-            syndrome = (data @ step.a_t + parity) & 1
-            packed = syndrome @ step.weights
-            fired = packed != 0
-            detected |= fired
-            patterns = step.lut[packed]  # (B, t) positions, -1 padded
-            valid = patterns >= 0
-            # A non-zero syndrome matching no weight-<=t pattern is detected
-            # but uncorrectable; pattern positions beyond the level's data
-            # width (zero-padding or parity bits) correct nothing visible.
-            uncorrectable += fired & ~valid.any(axis=1)
-            d = step.data_cols.shape[0]
-            is_data = valid & (patterns < d)
-            corrections += is_data.sum(axis=1, dtype=np.int64)
-            rows, slots = np.nonzero(is_data)
-            if rows.size:
-                state[rows, step.data_cols[patterns[rows, slots]]] ^= 1
-        elif isinstance(step, TrimCheckStep):
-            copies = np.stack(
-                [state[:, step.data_cols]]
-                + [state[:, cols] for cols in step.copy_col_groups]
-            )
-            total = copies.sum(axis=0, dtype=np.int64)
-            voted = (total * 2 > step.n_copies).astype(np.uint8)
-            disagree = (total != 0) & (total != step.n_copies)
-            detected |= disagree.any(axis=1)
-            corrections += (copies[0] != voted).sum(axis=1, dtype=np.int64)
-            state[:, step.data_cols] = voted
-        else:  # pragma: no cover - defensive
-            raise ProtectionError(f"unknown plan step {type(step).__name__}")
-
-    return BatchResult(
-        outputs=state[:, plan.output_cols].copy(),
-        golden=batched_golden_outputs(plan.netlist, matrix),
-        detected=detected,
-        corrections=corrections,
-        uncorrectable_levels=uncorrectable,
-        faults_injected=faults,
-    )

@@ -1,38 +1,40 @@
 """Bit-packed trial engine: 64 trials per uint64 word over the SoA tape.
 
-The uint8 batched interpreter (:mod:`repro.core.batched`) spends one byte
-per logical bit, so large Monte-Carlo cells and multi-fault sweeps are
-memory-bandwidth-bound long before they are compute-bound.  This engine
-packs the ``(B, n_cols)`` trial state into uint64 **bitplanes** of shape
+This is the one tape engine; the scalar object model
+(:mod:`repro.core.executor`) is the oracle it must match.  The engine packs
+the ``(B, n_cols)`` trial state into uint64 **bitplanes** of shape
 ``(ceil(B/64), n_cols)`` — trial ``t`` lives at bit ``t & 63`` of word
 ``t >> 6`` in every column — and evaluates each gate firing as a handful of
 branch-free AND/OR/XOR/NOT word ops over all 64 trials of a word at once.
 The interpreter dispatches on the dense :class:`~repro.core.soa.SoaPlan`
 buffers, not on Python step objects.
 
-Equivalence contract (mirrors the batched engine's, enforced by
-``tests/differential/`` and ``tests/golden/``):
+Every fault source except stuck-at is first turned into one form — sparse
+per-step flip events (:class:`_StepEvents`), grouped by tape step — which
+the interpreter XORs into the gate output block or the preset/read
+columns.  Equivalence contract (enforced by ``tests/differential/`` and
+``tests/golden/``):
 
 * fault-free, deterministic ``fault_plan`` and declarative ``fault_model``
   executions (stochastic / burst / stuck-at) are **byte-identical** to the
-  scalar and batched backends from shared per-trial seeds — stochastic
-  masks are drawn from the very same per-trial Philox streams in tape
-  order and packed with :func:`pack_trials`; burst flip decisions are
-  data-independent, so they are replayed through the batched
-  :class:`~repro.core.batched._BurstInjection` state machine verbatim;
+  scalar backend from shared per-trial seeds — stochastic hits come from
+  one compare of the per-trial Philox streams against a per-draw rate
+  vector, in the scalar injector's draw order; burst flip decisions are
+  data-independent, so they are replayed through the
+  :class:`~repro.core.batched._BurstInjection` state machine;
 * legacy ``model=FaultModel(...)`` executions are *statistically*
-  equivalent and reproducible per trial seed (the same contract batched
-  already has vs scalar: each backend owns its legacy stream discipline).
-  Here the discipline is **geometric skip-sampling**: per trial, per fault
-  class, a ``random.Random(seed)`` walk emits the gaps between Bernoulli
-  hits directly (``gap = floor(log1p(-u) / log1p(-p))``), so a campaign
-  cell at rate 1e-3 samples ~2 flips instead of ~1700 uniforms per trial —
-  which is what keeps the engine compute-bound instead of RNG-bound.
+  equivalent and reproducible per trial seed (each backend owns its
+  legacy stream discipline).  Here the discipline is **geometric
+  skip-sampling**: per trial, per fault class, a ``random.Random(seed)``
+  walk emits the gaps between Bernoulli hits directly
+  (``gap = floor(log1p(-u) / log1p(-p))``), so a campaign cell at rate
+  1e-3 samples ~2 flips instead of ~1700 uniforms per trial — which is
+  what keeps the engine compute-bound instead of RNG-bound.
 
 Tail lanes (trial indices >= B in the last word) hold whatever the word
 ops produce; every per-trial reduction unpacks through
-:func:`unpack_trials`, which slices them away, and packed fault masks are
-zero there, so they can never leak into outcomes.
+:func:`unpack_trials`, which slices them away, and flip events only ever
+name real trials, so they can never leak into outcomes.
 """
 
 from __future__ import annotations
@@ -105,9 +107,8 @@ def pack_trials(bits: np.ndarray) -> np.ndarray:
     """Transpose a ``(B, k)`` 0/1 uint8 matrix into ``(ceil(B/64), k)``
     uint64 bitplanes (trial ``t`` → bit ``t & 63`` of word ``t >> 6``).
 
-    Tail lanes of a ragged batch (B % 64 != 0) are zero-filled, so packed
-    fault masks never corrupt them.  Exact inverse of :func:`unpack_trials`
-    for any B.
+    Tail lanes of a ragged batch (B % 64 != 0) are zero-filled.  Exact
+    inverse of :func:`unpack_trials` for any B.
     """
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.ndim != 2:
@@ -237,8 +238,8 @@ def bitpacked_golden_outputs(
 ) -> np.ndarray:
     """Fault-free netlist outputs for all B trials, evaluated entirely in
     the packed domain — byte-identical to
-    :func:`~repro.core.batched.batched_golden_outputs` because both reduce
-    to the same truth tables."""
+    :meth:`~repro.compiler.netlist.Netlist.evaluate_outputs` because the
+    word programs come from the scalar gate model's truth tables."""
     words = input_planes.shape[0]
     values: Dict[int, np.ndarray] = {
         Netlist.CONST_ZERO: np.zeros(words, dtype=np.uint64),
@@ -257,17 +258,41 @@ def bitpacked_golden_outputs(
 # Fault-injection schedules
 # ---------------------------------------------------------------------- #
 class _StepEvents:
-    """Sparse per-step flip events in packed coordinates."""
+    """Sparse flip events of one tape step in packed coordinates: trial
+    word, lane (the step's output position or column position) and the
+    trial's bit within its word."""
 
     __slots__ = ("words", "lanes", "bits")
 
-    def __init__(self, trials: np.ndarray, lanes: np.ndarray) -> None:
-        self.words = (trials >> 6).astype(np.intp)
-        self.lanes = lanes.astype(np.intp)
-        self.bits = _ONE << (trials.astype(np.uint64) & np.uint64(63))
+    def __init__(self, words: np.ndarray, lanes: np.ndarray, bits: np.ndarray) -> None:
+        self.words = words
+        self.lanes = lanes
+        self.bits = bits
 
-    def apply(self, planes: np.ndarray) -> None:
-        np.bitwise_xor.at(planes, (self.words, self.lanes), self.bits)
+    def apply(self, planes: np.ndarray, columns: Optional[np.ndarray] = None) -> None:
+        """XOR the events into ``planes`` — a gate's ``(W, n_outputs)``
+        output block, or the state through the step's ``columns``."""
+        lanes = self.lanes if columns is None else columns[self.lanes]
+        np.bitwise_xor.at(planes, (self.words, lanes), self.bits)
+
+
+def _group_events(
+    trials: np.ndarray, steps: np.ndarray, lanes: np.ndarray
+) -> Dict[int, _StepEvents]:
+    """Group parallel (trial, tape step, lane) flip events by tape step with
+    one stable argsort — the single sparse form every schedule emits."""
+    order = np.argsort(steps, kind="stable")
+    steps = steps[order]
+    trials = trials[order].astype(np.uint64)
+    words = (trials >> np.uint64(6)).astype(np.intp)
+    bits = _ONE << (trials & np.uint64(63))
+    lanes = lanes[order].astype(np.intp, copy=False)
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(steps)) + 1, [steps.size]))
+    return {
+        int(steps[lo]): _StepEvents(words[lo:hi], lanes[lo:hi], bits[lo:hi])
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+        if hi > lo
+    }
 
 
 def _deterministic_schedule(
@@ -275,11 +300,11 @@ def _deterministic_schedule(
 ) -> Tuple[Dict[int, _StepEvents], np.ndarray]:
     """Per-step packed XOR events of a whole batch of deterministic plans.
 
-    A handful of numpy passes replaces the dict path's per-step, per-entry
-    targeting: map plan operations to gate slots, drop unknown operations
-    and out-of-range positions (both inject nothing, exactly as on the
-    uint8 engine), count the surviving flips per trial with one bincount,
-    and group the events by tape step with one stable argsort.
+    A handful of numpy passes replaces per-step, per-entry targeting: map
+    plan operations to gate slots, drop unknown operations and
+    out-of-range positions (both inject nothing, exactly as on the scalar
+    injector), count the surviving flips per trial with one bincount, and
+    group the events by tape step.
     """
     trials = plan_arrays.trial_of_entry().astype(np.int64, copy=False)
     ops = plan_arrays.op_index
@@ -292,19 +317,7 @@ def _deterministic_schedule(
     valid &= positions < widths[np.where(valid, slots, 0)]
     trials, slots, positions = trials[valid], slots[valid], positions[valid]
     faults = np.bincount(trials, minlength=batch).astype(np.int64, copy=False)
-    events: Dict[int, _StepEvents] = {}
-    steps = soa.gate_step_index[slots]
-    order = np.argsort(steps, kind="stable")
-    steps = steps[order]
-    boundaries = np.flatnonzero(np.diff(steps)) + 1
-    for step_group, trial_group, lane_group in zip(
-        np.split(steps, boundaries),
-        np.split(trials[order], boundaries),
-        np.split(positions[order], boundaries),
-    ):
-        if step_group.size:
-            events[int(step_group[0])] = _StepEvents(trial_group, lane_group)
-    return events, faults
+    return _group_events(trials, soa.gate_step_index[slots], positions), faults
 
 
 def _require_seeds(kind: str, fault_seeds, batch: int) -> None:
@@ -316,75 +329,99 @@ def _require_seeds(kind: str, fault_seeds, batch: int) -> None:
         )
 
 
+def _fault_classes(
+    soa: SoaPlan, model: FaultModel
+) -> List[Tuple[np.ndarray, np.ndarray, float, bool]]:
+    """The stochastic fault classes ``model`` draws on ``soa``, in the fixed
+    order one legacy trial walk samples them.
+
+    Each entry is ``(site steps, site lanes, rate, applied)``: the (tape
+    step, lane) of every site of the class, its Bernoulli rate, and whether
+    a hit flips state (presets on gate outputs are overwritten by the
+    firing itself, so that class only counts fault events).  Classes
+    without sites or at rate 0 draw nothing and are left out.
+    """
+    preset = model.preset_error_rate
+    candidates = (
+        (soa.gate_site_step, soa.gate_site_lane, model.gate_error_rate, True),
+        (soa.meta_site_step, soa.meta_site_lane, model.effective_metadata_error_rate, True),
+        (
+            np.concatenate((soa.gate_site_step, soa.meta_site_step)),
+            np.concatenate((soa.gate_site_lane, soa.meta_site_lane)),
+            preset,
+            False,
+        ),
+        (soa.preset_site_step, soa.preset_site_lane, preset, True),
+        (soa.read_site_step, soa.read_site_lane, model.memory_error_rate, True),
+    )
+    return [entry for entry in candidates if entry[0].shape[0] and entry[2] > 0.0]
+
+
+#: Working-set budget of one chunk of the exact stochastic schedule's
+#: ``(rows, n_draws)`` uniform block: bounds peak memory whatever the shard
+#: size, with no effect on the draws themselves.
+_STREAM_CHUNK_BYTES = 1 << 22
+
+
 def _exact_stochastic_schedule(
-    soa: SoaPlan, model: FaultModel, streams: np.ndarray
-) -> Tuple[Dict[int, np.ndarray], np.ndarray]:
-    """Per-step packed XOR masks from the shared per-trial Philox streams,
-    consumed in exactly the batched interpreter's draw order — the
-    byte-identity path of the declarative stochastic model."""
-    batch = streams.shape[0]
+    soa: SoaPlan, model: FaultModel, fault_seeds: Optional[Sequence[int]], batch: int
+) -> Tuple[Dict[int, _StepEvents], np.ndarray]:
+    """Sparse per-step flip events from the shared per-trial Philox streams
+    — the byte-identity path of the declarative stochastic model.
+
+    A trial's stream is consumed in tape order: per gate firing, one
+    preset draw per output cell (count-only) and then one flip draw per
+    output at the firing's gate or metadata rate; per preset or read step,
+    one draw per cell.  Every draw column therefore has a fixed site and
+    rate, so the schedule is one compare of the stream block against the
+    per-column rate vector followed by ``np.nonzero``, chunked over trials.
+    """
     faults = np.zeros(batch, dtype=np.int64)
-    masks: Dict[int, np.ndarray] = {}
-    cursor = 0
-
-    def draw(n_sites: int, rate: float) -> Optional[np.ndarray]:
-        nonlocal cursor
-        if rate <= 0.0:
-            return None
-        mask = streams[:, cursor:cursor + n_sites] < rate
-        cursor += n_sites
-        return mask
-
-    for index in range(soa.n_steps):
-        kind = soa.step_kind[index]
-        slot = soa.step_slot[index]
-        if kind == KIND_GATE:
-            n_out = int(soa.gate_out_ptr[slot + 1] - soa.gate_out_ptr[slot])
-            preset_mask = draw(n_out, model.preset_error_rate)
-            if preset_mask is not None:
-                # Gate presets are overwritten by the firing; count-only.
-                faults += preset_mask.sum(axis=1)
-            rate = (
-                model.effective_metadata_error_rate
-                if soa.gate_is_metadata[slot]
-                else model.gate_error_rate
-            )
-            flip_mask = draw(n_out, rate)
-        elif kind == KIND_PRESET:
-            n_cells = int(soa.preset_ptr[slot + 1] - soa.preset_ptr[slot])
-            flip_mask = draw(n_cells, model.preset_error_rate)
-        elif kind == KIND_READ:
-            n_cells = int(soa.read_ptr[slot + 1] - soa.read_ptr[slot])
-            flip_mask = draw(n_cells, model.memory_error_rate)
-        else:
-            continue
-        if flip_mask is not None:
-            faults += flip_mask.sum(axis=1)
-            if flip_mask.any():
-                masks[index] = pack_trials(flip_mask.astype(np.uint8))
-    return masks, faults
+    classes = _fault_classes(soa, model)
+    if not classes:
+        return {}, faults
+    _require_seeds("stochastic", fault_seeds, batch)
+    sizes = [entry[0].shape[0] for entry in classes]
+    steps = np.concatenate([entry[0] for entry in classes])
+    lanes = np.concatenate([entry[1] for entry in classes])
+    rates = np.repeat([entry[2] for entry in classes], sizes)
+    applied = np.repeat([entry[3] for entry in classes], sizes)
+    # Draw order: tape step, then count-only gate presets before the flips
+    # of the same firing, then lane.
+    order = np.lexsort((lanes, applied, steps))
+    steps, lanes, rates, applied = steps[order], lanes[order], rates[order], applied[order]
+    n_draws = steps.shape[0]
+    chunk = max(1, _STREAM_CHUNK_BYTES // (8 * n_draws))
+    hit_trials, hit_draws = [], []
+    for start in range(0, batch, chunk):
+        stop = min(start + chunk, batch)
+        streams = _uniform_streams(fault_seeds[start:stop], n_draws)
+        rows, draws = np.nonzero(streams < rates)
+        faults[start:stop] = np.bincount(rows, minlength=stop - start)
+        keep = applied[draws]
+        hit_trials.append(rows[keep] + start)
+        hit_draws.append(draws[keep])
+    draws = np.concatenate(hit_draws)
+    return _group_events(np.concatenate(hit_trials), steps[draws], lanes[draws]), faults
 
 
 def _burst_schedule(
     soa: SoaPlan, spec: FaultModelSpec, fault_seeds: Sequence[int], batch: int
-) -> Tuple[Dict[int, np.ndarray], np.ndarray]:
+) -> Tuple[Dict[int, _StepEvents], np.ndarray]:
     """Pre-play the burst state machine against zero blocks: burst flip
     decisions are data-independent (they depend only on the per-trial
-    streams and the operation schedule), so replaying the batched
-    :class:`_BurstInjection` verbatim yields byte-identical flip masks,
-    which the packed interpreter then applies as XOR planes."""
-    gate_rate = (spec.gate_error_rate or 0.0) > 0.0
-    memory_rate = (spec.memory_error_rate or 0.0) > 0.0
+    streams and the operation schedule), so replaying
+    :class:`_BurstInjection` yields the scalar injector's flips, which
+    become sparse events like every other schedule's."""
     draws = 0
-    if gate_rate:
+    if (spec.gate_error_rate or 0.0) > 0.0:
         draws += soa.n_gate_output_sites
-    if memory_rate:
+    if (spec.memory_error_rate or 0.0) > 0.0:
         draws += int(soa.read_cols.shape[0])
     _require_seeds("burst", fault_seeds, batch)
     burst = _BurstInjection(spec, _uniform_streams(fault_seeds, draws))
     faults = np.zeros(batch, dtype=np.int64)
-    masks: Dict[int, np.ndarray] = {}
-    scratch = np.zeros((batch, soa.n_cols), dtype=np.uint8)
+    hit_trials, hit_steps, hit_lanes = [], [], []
     for index in range(soa.n_steps):
         kind = soa.step_kind[index]
         slot = soa.step_slot[index]
@@ -392,28 +429,23 @@ def _burst_schedule(
             n_out = int(soa.gate_out_ptr[slot + 1] - soa.gate_out_ptr[slot])
             block = np.zeros((batch, n_out), dtype=np.uint8)
             faults += burst.corrupt_gate_outputs(int(soa.gate_op_index[slot]), block)
-            if block.any():
-                masks[index] = pack_trials(block)
         elif kind == KIND_READ:
-            columns = soa.read_cols[soa.read_ptr[slot]:soa.read_ptr[slot + 1]]
-            faults += burst.corrupt_stored_bits(scratch, columns)
-            flips = scratch[:, columns]
-            if flips.any():
-                masks[index] = pack_trials(flips)
-                scratch[:, columns] = 0
-    return masks, faults
-
-
-#: Per-trial legacy fault classes, in the fixed sampling order one trial's
-#: ``random.Random(seed)`` walk consumes them.  Each entry names the site
-#: table (None = count-only) and the model rate it fires at.
-_LEGACY_CLASSES = (
-    ("gate", lambda m: m.gate_error_rate),
-    ("meta", lambda m: m.effective_metadata_error_rate),
-    (None, lambda m: m.preset_error_rate),       # presets on gate outputs
-    ("preset", lambda m: m.preset_error_rate),   # preset-step cells
-    ("read", lambda m: m.memory_error_rate),
-)
+            n_cells = int(soa.read_ptr[slot + 1] - soa.read_ptr[slot])
+            block = np.zeros((batch, n_cells), dtype=np.uint8)
+            faults += burst.corrupt_stored_bits(block, np.arange(n_cells))
+        else:
+            continue
+        trials, lanes = np.nonzero(block)
+        if trials.shape[0]:
+            hit_trials.append(trials)
+            hit_steps.append(np.full(trials.shape[0], index))
+            hit_lanes.append(lanes)
+    if not hit_trials:
+        return {}, faults
+    events = _group_events(
+        np.concatenate(hit_trials), np.concatenate(hit_steps), np.concatenate(hit_lanes)
+    )
+    return events, faults
 
 
 def _skip_sample(rng: random.Random, n_sites: int, rate: float) -> List[int]:
@@ -434,68 +466,41 @@ def _skip_sample(rng: random.Random, n_sites: int, rate: float) -> List[int]:
 
 
 def _legacy_schedule(
-    soa: SoaPlan, model: FaultModel, fault_seeds: Sequence[int], batch: int
+    soa: SoaPlan, model: FaultModel, fault_seeds: Optional[Sequence[int]], batch: int
 ) -> Tuple[Dict[int, _StepEvents], np.ndarray]:
     """Sparse per-step flip events of the legacy stochastic model.
 
-    Statistically identical to the batched engine's dense Philox masks
-    (each site is an independent Bernoulli at its class rate) and equally
-    batch-composition-invariant — every trial's walk depends only on its
-    own seed — but different raw streams, matching the established
-    legacy-model contract (scalar, batched and bitpacked each own their
-    stream discipline; declarative models are the byte-identical layer).
+    Each site is an independent Bernoulli at its class rate, and every
+    trial's ``random.Random(seed)`` walk depends only on its own seed, so
+    the schedule is batch-composition-invariant.  The raw streams differ
+    from the scalar engine's (the legacy-model contract: each engine owns
+    its stream discipline; declarative models are the byte-identical
+    layer).
     """
-    site_tables = {
-        "gate": (soa.gate_site_step, soa.gate_site_lane),
-        "meta": (soa.meta_site_step, soa.meta_site_lane),
-        "preset": (soa.preset_site_step, soa.preset_site_lane),
-        "read": (soa.read_site_step, soa.read_site_lane),
-    }
     faults = np.zeros(batch, dtype=np.int64)
-    hits: Dict[str, Tuple[List[int], List[int]]] = {
-        name: ([], []) for name in site_tables
-    }
-    class_rates = [(name, rate_of(model)) for name, rate_of in _LEGACY_CLASSES]
-    class_sizes = {
-        "gate": int(soa.gate_site_step.shape[0]),
-        "meta": int(soa.meta_site_step.shape[0]),
-        None: soa.n_gate_output_sites,
-        "preset": int(soa.preset_site_step.shape[0]),
-        "read": int(soa.read_site_step.shape[0]),
-    }
+    classes = _fault_classes(soa, model)
+    if not classes:
+        return {}, faults
+    _require_seeds("stochastic", fault_seeds, batch)
+    walk = [(entry[0].shape[0], entry[2]) for entry in classes]
+    hits: List[Tuple[List[int], List[int]]] = [([], []) for _ in classes]
     for trial, seed in enumerate(fault_seeds):
         rng = random.Random(seed)
-        for name, rate in class_rates:
-            n_sites = class_sizes[name]
-            if n_sites == 0 or rate <= 0.0:
-                continue
+        for (n_sites, rate), (trials, sites) in zip(walk, hits):
             positions = _skip_sample(rng, n_sites, rate)
-            if not positions:
-                continue
-            faults[trial] += len(positions)
-            if name is not None:
-                trials, sites = hits[name]
+            if positions:
+                faults[trial] += len(positions)
                 trials.extend([trial] * len(positions))
                 sites.extend(positions)
-    events: Dict[int, _StepEvents] = {}
-    for name, (trials, sites) in hits.items():
-        if not trials:
-            continue
-        step_of, lane_of = site_tables[name]
-        trials_arr = np.asarray(trials, dtype=np.int64)
-        sites_arr = np.asarray(sites, dtype=np.intp)
-        steps = step_of[sites_arr]
-        lanes = lane_of[sites_arr]
-        order = np.argsort(steps, kind="stable")
-        steps, trials_arr, lanes = steps[order], trials_arr[order], lanes[order]
-        boundaries = np.flatnonzero(np.diff(steps)) + 1
-        for chunk_trials, chunk_lanes, chunk_steps in zip(
-            np.split(trials_arr, boundaries),
-            np.split(lanes, boundaries),
-            np.split(steps, boundaries),
-        ):
-            events[int(chunk_steps[0])] = _StepEvents(chunk_trials, chunk_lanes)
-    return events, faults
+    applied = [
+        (np.asarray(trials, dtype=np.int64), steps[sites], lanes[sites])
+        for (steps, lanes, _, flips), (trials, sites) in zip(classes, hits)
+        if flips and trials
+    ]
+    if not applied:
+        return {}, faults
+    trials, steps, lanes = (np.concatenate(parts) for parts in zip(*applied))
+    return _group_events(trials, steps, lanes), faults
 
 
 # ---------------------------------------------------------------------- #
@@ -531,10 +536,23 @@ def run_packed(
 ) -> BatchResult:
     """Interpret the SoA tape for all B trials, 64 per word.
 
-    The argument surface and semantics mirror
-    :func:`~repro.core.batched.run_batch` exactly; see the module docstring
-    for which fault sources are byte-identical across backends and which
-    are statistically equivalent.
+    ``input_matrix`` is a ``(B, n_inputs)`` bit matrix in ``netlist.inputs``
+    order.  At most one fault source drives a batch:
+
+    * ``model`` — the legacy stochastic :class:`~repro.pim.faults.FaultModel`
+      with one ``fault_seeds`` entry per trial (geometric skip-sampling);
+    * ``fault_plan`` — deterministic flips, per trial a mapping of global
+      gate-operation index to the output position(s) to flip, or one
+      :class:`~repro.core.faultplan.FaultPlanArrays` batch;
+    * ``fault_model`` — a declarative
+      :class:`~repro.pim.faults.FaultModelSpec` (stochastic / burst /
+      stuck-at), byte-identical to the scalar injectors from the same
+      per-trial seeds.
+
+    Every source except stuck-at (which re-applies its stuck value at the
+    scalar injector's touch points) is first turned into sparse per-step
+    flip events; see the module docstring for which sources are
+    byte-identical across backends and which are statistically equivalent.
     """
     plan = soa.plan
     matrix = np.asarray(input_matrix, dtype=np.uint8)
@@ -545,45 +563,33 @@ def run_packed(
     batch = matrix.shape[0]
     if batch == 0:
         raise ProtectionError("a batch needs at least one trial")
+    stochastic = model is not None and not model.is_error_free
+    if (fault_model is not None) + stochastic + (fault_plan is not None) > 1:
+        raise ProtectionError(
+            "a batch takes one fault source: a stochastic model, a "
+            "fault_plan or a fault_model"
+        )
 
     stuck: Optional[_StuckCells] = None
-    masks: Dict[int, np.ndarray] = {}
     events: Dict[int, _StepEvents] = {}
     faults = np.zeros(batch, dtype=np.int64)
-
     if fault_model is not None:
-        if (model is not None and not model.is_error_free) or fault_plan is not None:
-            raise ProtectionError(
-                "a batch takes one fault source: fault_model is exclusive "
-                "with model and fault_plan"
-            )
         if fault_model.kind == "stochastic":
-            rates = fault_model.rate_model()
-            n_draws = _exact_draw_count(soa, rates)
-            if n_draws:
-                # Same gate as run_batch: seeds are required exactly when the
-                # model draws on this plan.
-                _require_seeds("stochastic", fault_seeds, batch)
-                masks, faults = _exact_stochastic_schedule(
-                    soa, rates, _uniform_streams(fault_seeds, n_draws)
-                )
+            events, faults = _exact_stochastic_schedule(
+                soa, fault_model.rate_model(), fault_seeds, batch
+            )
         elif fault_model.kind == "stuck-at":
             stuck = _StuckCells(fault_model, plan.n_cols)
         elif not fault_model.is_error_free:  # burst
-            masks, faults = _burst_schedule(soa, fault_model, fault_seeds, batch)
-    elif model is not None and not model.is_error_free:
-        if _exact_draw_count(soa, model):
-            _require_seeds("stochastic", fault_seeds, batch)
-            events, faults = _legacy_schedule(soa, model, fault_seeds, batch)
-
-    det_events: Dict[int, _StepEvents] = {}
-    if fault_plan is not None:
+            events, faults = _burst_schedule(soa, fault_model, fault_seeds, batch)
+    elif stochastic:
+        events, faults = _legacy_schedule(soa, model, fault_seeds, batch)
+    elif fault_plan is not None:
         if len(fault_plan) != batch:
             raise ProtectionError("fault_plan must supply one entry per trial")
-        det_events, det_faults = _deterministic_schedule(
+        events, faults = _deterministic_schedule(
             soa, FaultPlanArrays.coerce(fault_plan), batch
         )
-        faults += det_faults
 
     words = n_words(batch)
     state = np.zeros((words, plan.n_cols), dtype=np.uint64)
@@ -617,34 +623,19 @@ def run_packed(
                     state, out_cols, stuck.is_stuck, stuck_value, batch
                 )
                 continue
-            mask = masks.get(index)
             step_events = events.get(index)
-            det = det_events.get(index)
-            if mask is None and step_events is None and det is None:
+            if step_events is None:
                 state[:, out_cols] = ideal[:, None]
                 continue
             block = np.repeat(ideal[:, None], out_hi - out_lo, axis=1)
-            if det is not None:
-                det.apply(block)
-            if mask is not None:
-                block ^= mask
-            if step_events is not None:
-                step_events.apply(block)
+            step_events.apply(block)
             state[:, out_cols] = block
         elif kind == KIND_PRESET:
             columns = soa.preset_cols[soa.preset_ptr[slot]:soa.preset_ptr[slot + 1]]
-            value_word = _FULL if soa.preset_values[slot] else np.uint64(0)
-            state[:, columns] = value_word
-            mask = masks.get(index)
-            if mask is not None:
-                state[:, columns] ^= mask
+            state[:, columns] = _FULL if soa.preset_values[slot] else np.uint64(0)
             step_events = events.get(index)
             if step_events is not None:
-                np.bitwise_xor.at(
-                    state,
-                    (step_events.words, columns[step_events.lanes]),
-                    step_events.bits,
-                )
+                step_events.apply(state, columns)
         elif kind == KIND_READ:
             columns = soa.read_cols[soa.read_ptr[slot]:soa.read_ptr[slot + 1]]
             if stuck is not None:
@@ -652,16 +643,9 @@ def run_packed(
                     state, columns, stuck.is_stuck, stuck_value, batch
                 )
                 continue
-            mask = masks.get(index)
-            if mask is not None:
-                state[:, columns] ^= mask
             step_events = events.get(index)
             if step_events is not None:
-                np.bitwise_xor.at(
-                    state,
-                    (step_events.words, columns[step_events.lanes]),
-                    step_events.bits,
-                )
+                step_events.apply(state, columns)
         elif kind == KIND_ECIM:
             data_cols = soa.ecim_data_cols[
                 soa.ecim_data_ptr[slot]:soa.ecim_data_ptr[slot + 1]
@@ -737,18 +721,3 @@ def run_packed(
         uncorrectable_levels=uncorrectable,
         faults_injected=faults,
     )
-
-
-def _exact_draw_count(soa: SoaPlan, model: FaultModel) -> int:
-    """Stream capacity of the exact stochastic schedule — per trial, the
-    same draw count :func:`~repro.core.batched._step_draws` sums."""
-    draws = 0
-    if model.preset_error_rate > 0.0:
-        draws += soa.n_gate_output_sites + int(soa.preset_site_step.shape[0])
-    if model.gate_error_rate > 0.0:
-        draws += int(soa.gate_site_step.shape[0])
-    if model.effective_metadata_error_rate > 0.0:
-        draws += int(soa.meta_site_step.shape[0])
-    if model.memory_error_rate > 0.0:
-        draws += int(soa.read_site_step.shape[0])
-    return draws

@@ -16,7 +16,7 @@ This module quantifies that trade-off two ways:
   level stays within budget (:func:`run_survival_probability`).
 * **Empirically** — Monte-Carlo fault injection through any
   :class:`~repro.core.backend.ExecutionBackend` (:func:`monte_carlo_coverage`
-  runs the scalar object model or the batched tape interpreter behind the
+  runs the scalar object model or the bit-packed tape engine behind the
   same protocol), which also captures effects the analytic model ignores
   (metadata errors, logical masking, miscorrection).
 
@@ -140,7 +140,7 @@ def monte_carlo_coverage(
     """Monte-Carlo fault injection over whole executions.
 
     ``target`` is an :class:`~repro.core.backend.ExecutionBackend` (scalar or
-    batched) or a legacy ``make_executor(fault_injector)`` factory;
+    bitpacked) or a legacy ``make_executor(fault_injector)`` factory;
     ``make_inputs(rng)`` draws one input assignment from a private generator.
     Seeding follows the campaign's discipline: every trial's input sampling
     and fault injection derive from ``(seed, trial index, stream name)``

@@ -12,10 +12,9 @@ This module is the array-native replacement:
 
 * :class:`FaultPlanArrays` — a CSR form of a whole batch of plans
   (``trial_ptr`` / ``op_index`` / ``position``), accepted directly by
-  ``run_trials`` on every backend.  The batched engine lowers it to per-
-  operation scatter indices with one ``argsort`` + ``np.split``; the
-  bit-packed engine lowers it to per-step packed XOR events in a handful
-  of numpy passes; the scalar engine views one trial at a time through
+  ``run_trials`` on every backend.  The bit-packed engine lowers it to
+  per-step packed XOR events in a handful of numpy passes; the scalar
+  engine views one trial at a time through
   ``plan[trial]`` (a plain dict), so its bit-exact legacy path is
   untouched.  ``from_dicts`` / ``to_dicts`` bridge the historical form.
 * :func:`unrank_combinations` — vectorized k-combination unranking via the
@@ -25,8 +24,8 @@ This module is the array-native replacement:
   claim ranks ``[start, start+count)`` without enumerating predecessors —
   and hence what makes ``--jobs N`` sharding placement-independent.
 
-The module sits below :mod:`repro.core.batched` in the import graph (the
-engines import it, never the reverse), so it speaks plain integers: sites
+The module sits below the tape engine in the import graph (the engines
+import it, never the reverse), so it speaks plain integers: sites
 enter as parallel ``operation_index`` / ``output_position`` arrays, not as
 :class:`~repro.core.backend.FaultSite` objects.
 """
@@ -34,7 +33,7 @@ enter as parallel ``operation_index`` / ``output_position`` arrays, not as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -134,9 +133,6 @@ class FaultPlanArrays:
     trial_ptr: np.ndarray  # (n_trials + 1,) intp, monotone, starts at 0
     op_index: np.ndarray   # (nnz,) int64
     position: np.ndarray   # (nnz,) int64
-    _targets: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(
-        default=None, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         self.trial_ptr = np.asarray(self.trial_ptr, dtype=np.intp)
@@ -247,26 +243,3 @@ class FaultPlanArrays:
         return np.repeat(
             np.arange(self.n_trials, dtype=np.intp), np.diff(self.trial_ptr)
         )
-
-    def targets_by_op(self) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
-        """``{op_index: (trial rows, output positions)}`` scatter indices —
-        the batched engine's per-operation grouping, computed once per plan
-        with a stable argsort instead of a per-trial Python loop."""
-        if self._targets is None:
-            rows = self.trial_of_entry()
-            order = np.argsort(self.op_index, kind="stable")
-            ops = self.op_index[order]
-            boundaries = np.flatnonzero(np.diff(ops)) + 1
-            self._targets = {
-                int(group_ops[0]): (
-                    group_rows.astype(np.intp, copy=False),
-                    group_positions.astype(np.intp, copy=False),
-                )
-                for group_ops, group_rows, group_positions in zip(
-                    np.split(ops, boundaries),
-                    np.split(rows[order], boundaries),
-                    np.split(self.position[order], boundaries),
-                )
-                if group_ops.size
-            }
-        return self._targets

@@ -32,12 +32,12 @@ This module provides:
 
 All three analyses speak the :class:`~repro.core.backend.ExecutionBackend`
 protocol: pass an :class:`~repro.core.backend.ExecutionBackend` (scalar or
-batched) or, for backward compatibility, a legacy
+bitpacked) or, for backward compatibility, a legacy
 ``make_executor(fault_injector)`` factory, which is adapted through
 :func:`~repro.core.backend.as_backend`.  The exhaustive sweep is vectorised
 with *fault site as the batch dimension*: one batch row per enumerated site,
-each carrying a single-bit deterministic flip plan — on the batched backend
-the whole Fig. 6 sweep is a single tape interpretation.
+each carrying a single-bit deterministic flip plan — on the bitpacked
+backend the whole Fig. 6 sweep is a single tape interpretation.
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ def enumerate_fault_sites(
 
     ``target`` is an :class:`~repro.core.backend.ExecutionBackend` or a
     legacy ``make_executor(fault_injector)`` factory.  The scalar backend
-    dry-runs the execution and walks its trace; the batched backend walks
+    dry-runs the execution and walks its trace; the bitpacked backend walks
     the compiled tape.  Either way, one :class:`FaultSite` per output cell
     of every gate firing, in execution order.
     """

@@ -1,12 +1,11 @@
 """Structure-of-arrays lowering of :class:`~repro.core.batched.ExecutionPlan`.
 
-The batched interpreter walks a tuple of per-step dataclasses and re-derives
-everything it needs (column lists, truth-table identity, output arity) from
-Python attribute access on every step of every batch.  That is fine for a
-uint8 interpreter whose per-step numpy work dwarfs the dispatch, but the
-bit-packed engine (:mod:`repro.core.bitpacked`) runs each step as a handful
-of word ops — at that scale the object walk *is* the interpreter loop, and a
-GPU tape interpreter cannot consume Python objects at all.
+The compiled tape is a tuple of per-step dataclasses; walking it would
+re-derive everything (column lists, truth-table identity, output arity)
+from Python attribute access on every step of every batch.  The bit-packed
+engine (:mod:`repro.core.bitpacked`) runs each step as a handful of word
+ops — at that scale the object walk *is* the interpreter loop, and a GPU
+tape interpreter cannot consume Python objects at all.
 
 :func:`lower_plan` therefore flattens the tape once, at compile time, into
 dense index/metadata buffers per step kind:

@@ -154,8 +154,8 @@ class SystematicLinearCode:
 
         Syndromes that collide between positions are absent — decoding them
         reports "detected but uncorrectable".  This is the exact table
-        :meth:`decode` consults, exposed so alternative decoders (the batched
-        trial engine's dense LUT) derive from one implementation instead of
+        :meth:`decode` consults, exposed so alternative decoders (the tape
+        engine's dense LUT) derive from one implementation instead of
         re-deriving the collision semantics.
         """
         return dict(self._syndrome_table)

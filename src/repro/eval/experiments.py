@@ -231,7 +231,7 @@ def experiment_fig6(backend: str = "scalar") -> Dict[str, object]:
     """Fig. 6: exhaustive single-fault analysis of the Hamming(7,4) AND example.
 
     ``backend`` picks the execution substrate for the sweep (``scalar`` — the
-    default, byte-identical to the legacy artefact — or ``batched``); the
+    default, byte-identical to the legacy artefact — or ``bitpacked``); the
     per-site outcomes are identical on both, which the test suite enforces.
     """
     netlist = and_gate_example_netlist()
@@ -550,7 +550,7 @@ def experiment_burst(
     correlation_window: int = 8,
     trials: int = 400,
     seed: int = 0,
-    backend: str = "batched",
+    backend: str = "bitpacked",
 ) -> Dict[str, object]:
     """Burst sweep: silent-corruption rate vs burst length, ECiM vs TRiM.
 
@@ -691,7 +691,7 @@ def experiment_application(
     shard_size: int = 50,
     workers: int = 0,
     checkpoint: Optional[str] = None,
-    backend: str = "batched",
+    backend: str = "bitpacked",
     fault_model: Optional[str] = "stochastic",
 ) -> Dict[str, object]:
     """Application-level campaign: accuracy degradation under faults.
@@ -868,7 +868,7 @@ def experiment_rare_event(
 def experiment_multifault(
     workload: str = "and2",
     max_faults: int = 2,
-    backend: str = "batched",
+    backend: str = "bitpacked",
     bch_t: int = 2,
     chunk_size: int = 4096,
     jobs: int = 1,

@@ -72,7 +72,7 @@ def resolve_rng(seed: SeedLike) -> random.Random:
 class PhiloxRandom(random.Random):
     """A ``random.Random`` facade over a counter-based ``numpy`` Philox stream.
 
-    The batched tape interpreter draws each trial's fault stream from
+    The bit-packed tape engine draws each trial's fault stream from
     ``numpy.random.Generator(numpy.random.Philox(key=seed))`` in tape order.
     Handing a scalar injector a ``PhiloxRandom(seed)`` makes it consume the
     *identical* uniform sequence (``Generator.random(n)`` equals ``n``
@@ -114,8 +114,10 @@ def normalize_flip_positions(positions: object) -> frozenset:
     A deterministic fault plan maps a gate-operation index to either a single
     zero-based output position (the historical single-fault form) or an
     iterable of positions (the k-flip form).  Both the scalar injector and
-    the batched interpreter normalise through here, so a duplicate position
-    means one flip — never an XOR-twice no-op — on every backend.
+    the tape engine's dict-plan bridge
+    (:meth:`~repro.core.faultplan.FaultPlanArrays.from_dicts`) normalise
+    through here, so a duplicate position means one flip — never an
+    XOR-twice no-op — on every backend.
     """
     if isinstance(positions, int):
         return frozenset((positions,))
@@ -279,7 +281,7 @@ class FaultModelSpec:
 
     Equivalence contract: for one spec and one per-trial seed, the scalar
     injector built by :meth:`make_injector` (Philox-backed via
-    :class:`PhiloxRandom`) and the batched interpreter's per-trial Philox
+    :class:`PhiloxRandom`) and the tape engine's per-trial Philox
     stream consume identical uniform draws in identical order, so trial
     outcomes are **byte-identical** across backends — the property
     ``tests/differential`` enforces for every kind.
@@ -435,10 +437,11 @@ class FaultModelSpec:
 
     def rate_model(self) -> FaultModel:
         """The spec's Bernoulli rates as a plain :class:`FaultModel` — the
-        batched interpreter's draw schedule.  ``None`` gate/memory/preset
+        tape engine's draw schedule.  ``None`` gate/memory/preset
         rates read as 0.0; a ``None`` metadata rate is passed through, where
         :class:`FaultModel` makes it inherit the gate rate (the scalar
-        injector's semantics, which batched must mirror byte-for-byte)."""
+        injector's semantics, which the tape engine must mirror
+        byte-for-byte)."""
         return FaultModel(
             gate_error_rate=self.gate_error_rate or 0.0,
             memory_error_rate=self.memory_error_rate or 0.0,
@@ -454,7 +457,7 @@ class FaultModelSpec:
         """Reject stuck columns outside the ``n_cols``-wide row layout.
 
         Both backends funnel through here (the scalar backend against its
-        executor's array width, the batched interpreter against the plan
+        executor's array width, the tape engine against the plan
         width), so a fault model naming a cell the execution never touches
         fails fast identically everywhere instead of silently injecting
         nothing — which would masquerade as fault-free coverage.
@@ -471,8 +474,8 @@ class FaultModelSpec:
         """Build the scalar injector realising this model for one trial.
 
         Stochastic and burst injectors are handed a :class:`PhiloxRandom`
-        keyed by ``seed`` — the same counter-based stream the batched
-        interpreter derives from the same trial seed, which is what makes
+        keyed by ``seed`` — the same counter-based stream the tape
+        engine derives from the same trial seed, which is what makes
         the two backends byte-identical under this layer.
         """
         if self.kind == "stuck-at":

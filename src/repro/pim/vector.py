@@ -1,12 +1,14 @@
-"""Vectorized (batched) semantics of the in-array gates.
+"""Vectorized semantics of the in-array gates.
 
 The scalar gate model (:mod:`repro.pim.gates`) evaluates one gate on one
 Python-int operand list at a time — exactly right for the behavioural array,
 far too slow for Monte-Carlo campaigns that execute the same gate schedule
-thousands of times.  This module provides the batched counterpart used by the
-:mod:`repro.core.batched` trial engine: every native gate becomes a
-*truth-table lookup* over a ``(B, n_inputs)`` bit matrix, producing all B
-trials' outputs in one numpy operation.
+thousands of times.  This module provides the vectorized counterpart: every
+native gate becomes a *truth-table lookup* over a ``(B, n_inputs)`` bit
+matrix, producing all B trials' outputs in one numpy operation.  The
+bit-packed tape engine (:mod:`repro.core.bitpacked`) compiles its word-op
+programs from these truth tables and falls back to
+:func:`vector_gate_output` for gates wider than :data:`TABLE_MAX_INPUTS`.
 
 The truth tables themselves are generated by calling the scalar
 :func:`~repro.pim.gates.gate_output` on every input combination, so the
@@ -16,8 +18,8 @@ Gates wider than :data:`TABLE_MAX_INPUTS` (none of the shipped netlists come
 close) fall back to direct arithmetic forms with identical semantics.
 
 Input bit matrices are expected to contain only 0/1 values (dtype ``uint8``);
-the batched engine guarantees this invariant, so no per-element validation is
-performed on the hot path.
+callers guarantee this invariant, so no per-element validation is performed
+on the hot path.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ __all__ = [
     "TABLE_MAX_INPUTS",
     "truth_table",
     "vector_gate_output",
-    "apply_deterministic_flips",
 ]
 
 #: Widest gate for which a dense 2^n truth table is materialised; beyond this
@@ -106,25 +107,6 @@ def _direct_eval(
         column = inputs[:, 0]
         return (column ^ 1).astype(np.uint8) if gate == GateType.NOT else column.astype(np.uint8)
     raise GateOperandError(f"unknown gate type: {gate!r}")
-
-
-def apply_deterministic_flips(
-    outputs: np.ndarray, rows: np.ndarray, positions: np.ndarray
-) -> np.ndarray:
-    """Flip one output cell per listed trial, in place.
-
-    ``outputs`` is the ``(B, n_outputs)`` bit matrix of one gate firing;
-    ``rows`` / ``positions`` name the victim trial rows and the zero-based
-    output positions to flip.  Out-of-range positions inject nothing —
-    matching the scalar :class:`~repro.pim.faults.DeterministicFaultInjector`
-    position-counter semantics (in particular a negative index must not wrap
-    to the last output).  Returns the rows actually flipped, so the caller
-    can account the fault events.
-    """
-    valid = (positions >= 0) & (positions < outputs.shape[1])
-    rows, positions = rows[valid], positions[valid]
-    outputs[rows, positions] ^= 1
-    return rows
 
 
 def vector_gate_output(

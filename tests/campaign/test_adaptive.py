@@ -22,7 +22,7 @@ from repro.campaign.adaptive.strata import (
 from repro.errors import EvaluationError
 from repro.stats import interval_halfwidth, wilson_interval
 
-BACKENDS = ("scalar", "batched", "bitpacked")
+BACKENDS = ("scalar", "bitpacked")
 
 
 def small_spec(**overrides):
@@ -184,7 +184,7 @@ class TestEstimatorCampaigns:
         assert named.counts_by_cell == plain.counts_by_cell
 
     def test_stratified_counters_identical_across_backends(self):
-        # Stratified plans are deterministic CSR fault plans, so all three
+        # Stratified plans are deterministic CSR fault plans, so both
         # engines must produce byte-identical counters AND strata.
         results = [
             run_campaign(small_spec(backend=b, estimator="stratified:k_max=2"), workers=0)

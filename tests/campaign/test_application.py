@@ -30,7 +30,7 @@ def app_spec(**overrides):
         trials=16,
         shard_size=8,
         seed=5,
-        backend="batched",
+        backend="bitpacked",
         fault_model="stochastic",
         application=True,
         name="application-test",
@@ -183,7 +183,7 @@ class TestCampaignDeterminism:
         plain = run_campaign(app_spec(application=None), workers=0)
         assert scored.counts_by_cell == plain.counts_by_cell
 
-    @pytest.mark.parametrize("backend", ["scalar", "batched", "bitpacked"])
+    @pytest.mark.parametrize("backend", ["scalar", "bitpacked"])
     def test_backends_byte_identical(self, backend):
         reference = run_campaign(app_spec(workloads=("fft4",)), workers=0)
         other = run_campaign(

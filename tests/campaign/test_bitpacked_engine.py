@@ -1,9 +1,9 @@
-"""Campaign integration of the batched execution backend.
+"""Campaign integration of the bitpacked tape backend.
 
-Covers the spec/CLI surface (``backend`` field, deprecated ``engine`` alias,
-hash back-compat), the worker dispatch, exact scalar equality on fault-free
-cells, statistical scalar agreement on stochastic cells, and the SEP
-acceptance sweep.
+Covers the spec surface (``backend`` field, hash back-compat, the retired
+``batched`` backend and ``engine`` alias), the worker dispatch, exact scalar
+equality on fault-free cells, statistical scalar agreement on stochastic
+cells, and the SEP acceptance sweep.
 """
 
 import numpy as np
@@ -15,14 +15,16 @@ from repro.campaign import (
     run_shard,
 )
 from repro.campaign.aggregate import COUNT_KEYS
-from repro.campaign.spec import CAMPAIGN_BACKENDS, CAMPAIGN_ENGINES, ShardTask
+from repro.campaign.spec import CAMPAIGN_BACKENDS, ShardTask
 from repro.campaign.worker import clear_executor_cache
 from repro.campaign.workloads import get_campaign_workload
-from repro.core.batched import compile_plan, run_batch, sample_input_matrix
+from repro.core.backend import make_backend
+from repro.core.batched import sample_input_matrix
 from repro.errors import EvaluationError
+from repro.pim.faults import FaultModel
 
 
-def spec(backend="batched", **overrides):
+def spec(backend="bitpacked", **overrides):
     defaults = dict(
         workloads=("and2",),
         schemes=("unprotected", "ecim", "trim"),
@@ -32,7 +34,7 @@ def spec(backend="batched", **overrides):
         shard_size=20,
         seed=7,
         backend=backend,
-        name="batched-backend-test",
+        name="bitpacked-backend-test",
     )
     defaults.update(overrides)
     return CampaignSpec(**defaults)
@@ -40,9 +42,7 @@ def spec(backend="batched", **overrides):
 
 class TestSpecSurface:
     def test_backends_constant(self):
-        assert CAMPAIGN_BACKENDS == ("scalar", "batched", "bitpacked")
-        # The deprecated alias names the same choice set.
-        assert CAMPAIGN_ENGINES == CAMPAIGN_BACKENDS
+        assert CAMPAIGN_BACKENDS == ("scalar", "bitpacked")
 
     def test_default_backend_is_scalar(self):
         assert CampaignSpec(workloads=("and2",)).backend == "scalar"
@@ -57,7 +57,7 @@ class TestSpecSurface:
             )
 
     def test_backend_propagates_to_shards(self):
-        assert all(task.backend == "batched" for task in spec().shards())
+        assert all(task.backend == "bitpacked" for task in spec().shards())
         assert all(task.backend == "scalar" for task in spec(backend="scalar").shards())
 
     def test_scalar_hash_unchanged_by_backend_field(self):
@@ -69,77 +69,66 @@ class TestSpecSurface:
         del data["backend"]
         assert CampaignSpec.from_dict(data).spec_hash() == base.spec_hash()
 
-    def test_batched_hash_differs_from_scalar(self):
+    def test_bitpacked_hash_differs_from_scalar(self):
         assert spec().spec_hash() != spec(backend="scalar").spec_hash()
 
+    def test_spec_hash_canonical_form_is_unchanged(self):
+        # Existing scalar and bitpacked checkpoints must keep resuming: the
+        # canonical form still spells the backend under its historical
+        # ``engine`` key (omitted for the scalar default).
+        assert CampaignSpec(workloads=("and2",)).spec_hash() == "6fa8dfe56189150e"
+        assert (
+            CampaignSpec(workloads=("and2",), backend="bitpacked").spec_hash()
+            == "1c095f0ea0292154"
+        )
+        burst = dict(
+            workloads=("dot2", "and2"), gate_error_rates=(1e-3,), trials=100, seed=3,
+            fault_model="burst:length=2,window=4",
+        )
+        assert CampaignSpec(**burst).spec_hash() == "6143695bed058bf5"
+        assert CampaignSpec(backend="bitpacked", **burst).spec_hash() == "8f8a621cb2676e21"
+
     def test_backend_round_trips_through_json(self):
-        assert CampaignSpec.from_json(spec().to_json()).backend == "batched"
+        assert CampaignSpec.from_json(spec().to_json()).backend == "bitpacked"
 
 
-class TestEngineDeprecationShim:
-    def test_engine_kwarg_maps_to_backend_with_warning(self):
-        with pytest.deprecated_call():
-            legacy = CampaignSpec(workloads=("and2",), engine="batched")
-        assert legacy.backend == "batched"
-        # The alias mirrors the resolved backend for legacy readers.
-        assert legacy.engine == "batched"
+class TestRetiredNames:
+    """The uint8 ``batched`` backend and the ``engine`` alias are gone:
+    batched-era spec files and checkpoints are refused loudly."""
 
-    def test_engine_spec_hash_matches_backend_spec_hash(self):
-        # A pre-rename batched checkpoint must resume under the new field.
-        with pytest.deprecated_call():
-            legacy = CampaignSpec(workloads=("and2",), engine="batched")
-        assert legacy.spec_hash() == CampaignSpec(
-            workloads=("and2",), backend="batched"
-        ).spec_hash()
-
-    def test_engine_json_spec_files_still_load(self):
-        with pytest.deprecated_call():
-            loaded = CampaignSpec.from_dict(
-                {"workloads": ["and2"], "engine": "batched"}
+    def test_batched_backend_rejected_with_choices(self):
+        with pytest.raises(EvaluationError, match=r"'batched'.*'scalar', 'bitpacked'"):
+            CampaignSpec(workloads=("and2",), backend="batched")
+        with pytest.raises(EvaluationError, match="'batched'"):
+            ShardTask(
+                cell=spec().cells()[0], shard_index=0, start_trial=0,
+                n_trials=1, campaign_seed=0, backend="batched",
             )
-        assert loaded.backend == "batched"
+
+    def test_engine_keyword_is_not_a_field(self):
+        with pytest.raises(TypeError):
+            CampaignSpec(workloads=("and2",), engine="bitpacked")
+        with pytest.raises(TypeError):
+            ShardTask(
+                cell=spec().cells()[0], shard_index=0, start_trial=0,
+                n_trials=1, campaign_seed=0, engine="bitpacked",
+            )
+
+    def test_engine_spec_files_fail_as_unknown_fields(self):
+        with pytest.raises(EvaluationError, match=r"unknown campaign spec fields: \['engine'\]"):
+            CampaignSpec.from_dict({"workloads": ["and2"], "engine": "bitpacked"})
+
+    def test_batched_spec_files_are_refused(self):
+        with pytest.raises(EvaluationError, match="'batched'"):
+            CampaignSpec.from_dict({"workloads": ["and2"], "backend": "batched"})
 
     def test_engine_key_not_serialised(self):
-        with pytest.deprecated_call():
-            legacy = CampaignSpec(workloads=("and2",), engine="batched")
-        data = legacy.to_dict()
-        assert "engine" not in data
-        assert data["backend"] == "batched"
-
-    def test_unknown_engine_rejected(self):
-        with pytest.deprecated_call(), pytest.raises(EvaluationError):
-            CampaignSpec(workloads=("and2",), engine="vectorised")
-
-    def test_conflicting_engine_and_backend_rejected(self):
-        with pytest.deprecated_call(), pytest.raises(EvaluationError):
-            CampaignSpec(workloads=("and2",), backend="batched", engine="scalar")
-
-    def test_stale_engine_cannot_override_explicit_scalar_backend(self):
-        # An *explicit* backend="scalar" is a pin, not a default: a stale
-        # engine kwarg must conflict loudly instead of silently switching
-        # the campaign onto Philox streams and the batched hash namespace.
-        with pytest.deprecated_call(), pytest.raises(EvaluationError):
-            CampaignSpec(workloads=("and2",), backend="scalar", engine="batched")
-
-    def test_shard_task_engine_alias(self):
-        task = spec().shards()[0]
-        assert task.engine == task.backend == "batched"
-
-    def test_shard_task_engine_kwarg_still_constructs(self):
-        # PR-2 era code built ShardTask(engine=...) directly; the keyword
-        # must keep working through the same deprecation shim.
-        with pytest.deprecated_call():
-            task = ShardTask(
-                cell=spec().cells()[0], shard_index=0, start_trial=0,
-                n_trials=5, campaign_seed=0, engine="batched",
-            )
-        assert task.backend == "batched"
-        assert run_shard(task).counts["trials"] == 5
+        assert "engine" not in spec().to_dict()
 
 
 class TestWorkerDispatch:
     def test_unknown_technology_rejected_like_scalar(self):
-        # The batched plan never consumes technology parameters, but a
+        # The tape plan never consumes technology parameters, but a
         # typo'd --technologies must not silently succeed on one backend
         # and fail on the other.
         from repro.errors import TechnologyError
@@ -152,7 +141,7 @@ class TestWorkerDispatch:
         )
         task = ShardTask(
             cell=bogus, shard_index=0, start_trial=0, n_trials=5,
-            campaign_seed=0, backend="batched",
+            campaign_seed=0, backend="bitpacked",
         )
         with pytest.raises(TechnologyError):
             run_shard(task)
@@ -163,14 +152,14 @@ class TestWorkerDispatch:
         assert set(result.counts) == set(COUNT_KEYS)
         assert result.counts["trials"] == task.n_trials
 
-    def test_batched_shard_deterministic(self):
+    def test_bitpacked_shard_deterministic(self):
         task = spec().shards()[0]
         clear_executor_cache()
         first = run_shard(task)
         again = run_shard(task)  # now served by the cached plan
         assert first == again
 
-    def test_shard_size_does_not_change_batched_aggregates(self):
+    def test_shard_size_does_not_change_bitpacked_aggregates(self):
         coarse = run_campaign(spec(shard_size=60), workers=0)
         fine = run_campaign(spec(shard_size=7), workers=0)
         assert coarse.counts_by_cell == fine.counts_by_cell
@@ -186,10 +175,10 @@ class TestScalarAgreement:
         # With no faults both backends are deterministic functions of the
         # shared input sampler, so every counter must agree bit-for-bit.
         kwargs = dict(gate_error_rates=(0.0,), trials=40, shard_size=10)
-        batched = run_campaign(spec(**kwargs), workers=0)
+        bitpacked = run_campaign(spec(**kwargs), workers=0)
         scalar = run_campaign(spec(backend="scalar", **kwargs), workers=0)
-        assert batched.counts_by_cell == scalar.counts_by_cell
-        for report in batched.reports:
+        assert bitpacked.counts_by_cell == scalar.counts_by_cell
+        for report in bitpacked.reports:
             assert report.counts["correct"] == report.counts["trials"]
 
     def test_stochastic_cells_agree_statistically(self):
@@ -200,19 +189,19 @@ class TestScalarAgreement:
             workloads=("dot2",), schemes=("ecim",), gate_error_rates=(1e-2,),
             trials=300, shard_size=100,
         )
-        batched = run_campaign(spec(**kwargs), workers=0).reports[0]
+        bitpacked = run_campaign(spec(**kwargs), workers=0).reports[0]
         scalar = run_campaign(spec(backend="scalar", **kwargs), workers=0).reports[0]
-        assert batched.counts["faults_injected"] > 0
-        ratio = batched.counts["faults_injected"] / scalar.counts["faults_injected"]
+        assert bitpacked.counts["faults_injected"] > 0
+        ratio = bitpacked.counts["faults_injected"] / scalar.counts["faults_injected"]
         assert 0.8 < ratio < 1.25
-        assert abs(batched.coverage - scalar.coverage) < 0.12
-        assert abs(batched.detected_rate - scalar.detected_rate) < 0.12
+        assert abs(bitpacked.coverage - scalar.coverage) < 0.12
+        assert abs(bitpacked.detected_rate - scalar.detected_rate) < 0.12
 
 
 class TestSepAcceptance:
     def test_dot2_grid_zero_silent_corruption_under_protection(self):
         # The acceptance sweep: ECiM and TRiM on dot2 across the swept error
-        # rates, batched backend — silent corruption must be zero everywhere,
+        # rates, bitpacked backend — silent corruption must be zero everywhere,
         # while the unprotected baseline shows why protection is needed.
         result = run_campaign(
             spec(
@@ -237,7 +226,7 @@ class TestSepAcceptance:
 
 
 class TestCheckpointInterop:
-    def test_batched_campaign_resumes_own_checkpoint(self, tmp_path):
+    def test_bitpacked_campaign_resumes_own_checkpoint(self, tmp_path):
         path = tmp_path / "ckpt.jsonl"
         full = run_campaign(spec(), workers=0, checkpoint=path)
         assert full.resumed_shards == 0
@@ -245,29 +234,31 @@ class TestCheckpointInterop:
         assert again.resumed_shards == len(spec().shards())
         assert again.counts_by_cell == full.counts_by_cell
 
-    def test_batched_checkpoint_not_consumed_by_scalar_run(self, tmp_path):
+    def test_bitpacked_checkpoint_not_consumed_by_scalar_run(self, tmp_path):
         path = tmp_path / "ckpt.jsonl"
         run_campaign(spec(), workers=0, checkpoint=path)
         scalar = run_campaign(spec(backend="scalar"), workers=0, checkpoint=path)
         assert scalar.resumed_shards == 0
 
 
-class TestBatchedMemoryErrors:
+class TestBitpackedMemoryErrors:
     def test_memory_rate_changes_outcomes_only_for_checked_schemes(self):
         # Memory errors strike checker-transfer reads; the unprotected
-        # executor performs none, so its batched counters must be invariant.
+        # executor performs none, so its counters must be invariant.
         netlist = get_campaign_workload("dot2").netlist
         seeds = list(range(80))
         matrix = sample_input_matrix(netlist, seeds)
-        from repro.pim.faults import FaultModel
+        memory = FaultModel(memory_error_rate=0.05)
 
-        plan_u = compile_plan(netlist, "unprotected")
-        clean = run_batch(plan_u, matrix, FaultModel(), None)
-        noisy = run_batch(plan_u, matrix, FaultModel(memory_error_rate=0.05), seeds)
+        unprotected = make_backend("bitpacked", netlist, "unprotected")
+        clean = unprotected.run_trials(matrix, capture_outputs=True)
+        noisy = unprotected.run_trials(
+            matrix, model=memory, fault_seeds=seeds, capture_outputs=True
+        )
         assert np.array_equal(clean.outputs, noisy.outputs)
         assert noisy.counts()["faults_injected"] == 0
 
-        plan_e = compile_plan(netlist, "ecim")
-        noisy_e = run_batch(plan_e, matrix, FaultModel(memory_error_rate=0.05), seeds)
+        ecim = make_backend("bitpacked", netlist, "ecim")
+        noisy_e = ecim.run_trials(matrix, model=memory, fault_seeds=seeds)
         assert noisy_e.counts()["faults_injected"] > 0
         assert noisy_e.counts()["detected"] > 0

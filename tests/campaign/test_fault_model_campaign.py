@@ -10,7 +10,7 @@ Pinned here:
   keys and ``spec_hash`` byte-identical to pre-field specs, so every old
   checkpoint resumes unchanged (the acceptance criterion);
 * worker dispatch — fault-model shards produce byte-identical counters on
-  the scalar and batched backends (burst and stuck-at both), because the
+  the scalar and bitpacked backends (burst and stuck-at both), because the
   layer shares one Philox stream per trial across backends.
 """
 
@@ -98,7 +98,7 @@ class TestResumeCompatibility:
         assert loaded.spec_hash() == spec.spec_hash()
 
     def test_checkpointed_fault_model_campaign_resumes(self, tmp_path):
-        spec = fault_model_spec(backend="batched")
+        spec = fault_model_spec(backend="bitpacked")
         path = tmp_path / "ckpt.jsonl"
         first = run_campaign(spec, workers=0, checkpoint=str(path))
         resumed = run_campaign(spec, workers=0, checkpoint=str(path))
@@ -117,12 +117,12 @@ class TestWorkerDispatch:
         ["burst:length=3,window=6", "stuck-at:cells=3+6,value=1", "stochastic:preset=0.002"],
         ids=["burst", "stuck-at", "stochastic"],
     )
-    def test_scalar_and_batched_counters_are_byte_identical(self, fault_model):
+    def test_scalar_and_bitpacked_counters_are_byte_identical(self, fault_model):
         scalar = run_all_shards(fault_model_spec(fault_model, backend="scalar"))
-        batched = run_all_shards(fault_model_spec(fault_model, backend="batched"))
-        assert scalar.keys() == batched.keys()
+        bitpacked = run_all_shards(fault_model_spec(fault_model, backend="bitpacked"))
+        assert scalar.keys() == bitpacked.keys()
         for key in scalar:
-            assert scalar[key] == batched[key], key
+            assert scalar[key] == bitpacked[key], key
 
     def test_burst_rate_inherits_the_swept_cell_rate(self):
         # The grammar string leaves the trigger rate unset, so cells at
@@ -141,5 +141,5 @@ class TestWorkerDispatch:
         assert all(c["faults_injected"] > 0 for c in first.values())
 
     def test_reruns_are_deterministic(self):
-        spec = fault_model_spec(backend="batched")
+        spec = fault_model_spec(backend="bitpacked")
         assert run_all_shards(spec) == run_all_shards(spec)

@@ -3,7 +3,7 @@
 Because k-flip plans execute bit-exactly on both backends and site
 enumeration is backend-invariant (a PR-3 contract), a ``faults_per_trial``
 campaign is the one stochastic-looking configuration whose counters are
-byte-identical between the scalar and batched engines — which is exactly
+byte-identical between the scalar and bitpacked engines — which is exactly
 what these tests pin down, alongside seeding determinism and the injected
 fault accounting.
 """
@@ -48,15 +48,15 @@ class TestMultiFaultShards:
             assert counts["faults_injected"] == 2 * counts["trials"]
             assert counts["faulty_trials"] == counts["trials"]
 
-    def test_scalar_and_batched_counters_are_identical(self):
+    def test_scalar_and_bitpacked_counters_are_identical(self):
         scalar = run_all_shards(multifault_spec(backend="scalar"))
-        batched = run_all_shards(multifault_spec(backend="batched"))
-        assert scalar.keys() == batched.keys()
+        bitpacked = run_all_shards(multifault_spec(backend="bitpacked"))
+        assert scalar.keys() == bitpacked.keys()
         for key in scalar:
-            assert scalar[key] == batched[key], key
+            assert scalar[key] == bitpacked[key], key
 
     def test_reruns_are_deterministic(self):
-        spec = multifault_spec(backend="batched")
+        spec = multifault_spec(backend="bitpacked")
         assert run_all_shards(spec) == run_all_shards(spec)
 
     def test_k1_differs_from_k2(self):

@@ -13,7 +13,6 @@ from repro.campaign.spec import trial_seed
 from repro.campaign.workloads import get_campaign_workload, sample_inputs
 from repro.core.backend import (
     BACKEND_NAMES,
-    BatchedBackend,
     BitpackedBackend,
     ExecutionBackend,
     ScalarBackend,
@@ -32,13 +31,12 @@ AND2_INPUTS = {AND2.inputs[0]: 1, AND2.inputs[1]: 1}
 
 class TestDispatch:
     def test_backend_names(self):
-        assert BACKEND_NAMES == ("scalar", "batched", "bitpacked")
+        assert BACKEND_NAMES == ("scalar", "bitpacked")
 
     @pytest.mark.parametrize(
         "name,cls",
         [
             ("scalar", ScalarBackend),
-            ("batched", BatchedBackend),
             ("bitpacked", BitpackedBackend),
         ],
     )
@@ -51,8 +49,14 @@ class TestDispatch:
     def test_unknown_backend_fails_fast_with_choices(self):
         # A --backend typo on any CLI funnels through here, so the error
         # must name every registered backend.
-        with pytest.raises(ProtectionError, match=r"scalar.*batched.*bitpacked"):
+        with pytest.raises(ProtectionError, match=r"scalar.*bitpacked"):
             make_backend("vectorised", AND2, "ecim")
+
+    def test_retired_batched_backend_fails_with_choices(self):
+        # The uint8 tape interpreter is gone: its name is an unknown backend
+        # like any other, and the error lists the ones that remain.
+        with pytest.raises(ProtectionError, match=r"'batched'.*'scalar', 'bitpacked'"):
+            make_backend("batched", AND2, "ecim")
 
     def test_unknown_backend_error_lists_every_registered_name(self):
         with pytest.raises(ProtectionError) as excinfo:
@@ -68,7 +72,7 @@ class TestDispatch:
             make_backend(name, AND2, "parity")
 
     def test_as_backend_passes_backends_through(self):
-        backend = make_backend("batched", AND2, "trim")
+        backend = make_backend("bitpacked", AND2, "trim")
         assert as_backend(backend) is backend
 
     def test_as_backend_adapts_legacy_factories(self):
@@ -253,7 +257,7 @@ class TestFaultModelSurface:
             )
 
 
-# NOTE: the scalar-vs-batched equivalence tests that used to live here
+# NOTE: the scalar-vs-tape equivalence tests that used to live here
 # (site enumeration, exhaustive per-site SEP classification) moved into the
 # systematic cross-backend harness in tests/differential/, which also covers
 # byte-identical TrialOutcomes for the declarative fault-model layer.

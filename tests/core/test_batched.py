@@ -1,6 +1,7 @@
-"""Batched trial engine vs the scalar executors.
+"""Compiled instruction tapes (``repro/core/batched.py``), run on the
+bit-packed tape engine, vs the scalar executors.
 
-The contract under test (see ``repro/core/batched.py``):
+The contract under test:
 
 * fault-free executions match the scalar executors **exactly**, per trial;
 * exhaustive deterministic single-fault executions match the scalar
@@ -17,15 +18,12 @@ import numpy as np
 import pytest
 
 from repro.campaign.workloads import get_campaign_workload, sample_inputs
-from repro.core.batched import (
-    batched_golden_outputs,
-    compile_plan,
-    run_batch,
-    sample_input_matrix,
-)
+from repro.core.batched import compile_plan, sample_input_matrix
+from repro.core.bitpacked import bitpacked_golden_outputs, pack_trials, run_packed
 from repro.core.executor import EcimExecutor, TrimExecutor, UnprotectedExecutor
 from repro.errors import ProtectionError
 from repro.pim.faults import DeterministicFaultInjector, FaultModel
+from repro.core.soa import lower_plan
 from repro.pim.operations import NullTrace
 
 EXECUTORS = {
@@ -33,6 +31,13 @@ EXECUTORS = {
     "ecim": EcimExecutor,
     "trim": TrimExecutor,
 }
+
+
+def run_tape(plan, matrix, model=None, fault_seeds=None, fault_plan=None):
+    """Interpret a compiled tape on the bit-packed engine."""
+    return run_packed(
+        lower_plan(plan), matrix, model=model, fault_seeds=fault_seeds, fault_plan=fault_plan
+    )
 
 
 def scalar_report(netlist, scheme, multi_output, inputs, injector=None):
@@ -53,10 +58,10 @@ def assert_trial_matches(result, row, report, netlist, context):
 
 class TestGolden:
     @pytest.mark.parametrize("workload", ["and2", "dot2", "mac4"])
-    def test_batched_golden_matches_netlist_evaluation(self, workload):
+    def test_packed_golden_matches_netlist_evaluation(self, workload):
         netlist = get_campaign_workload(workload).netlist
-        matrix = sample_input_matrix(netlist, list(range(16)))
-        golden = batched_golden_outputs(netlist, matrix)
+        matrix = sample_input_matrix(netlist, list(range(70)))
+        golden = bitpacked_golden_outputs(netlist, pack_trials(matrix), matrix.shape[0])
         for row in range(matrix.shape[0]):
             expected = netlist.evaluate_outputs(dict(zip(netlist.inputs, map(int, matrix[row]))))
             assert list(golden[row]) == [expected[s] for s in netlist.outputs]
@@ -81,7 +86,7 @@ class TestFaultFreeExactMatch:
         plan = compile_plan(netlist, scheme, multi_output=multi_output)
         seeds = list(range(12))
         matrix = sample_input_matrix(netlist, seeds)
-        result = run_batch(plan, matrix)
+        result = run_tape(plan, matrix)
         for row, seed in enumerate(seeds):
             report = scalar_report(
                 netlist, scheme, multi_output, sample_inputs(netlist, random.Random(seed))
@@ -105,7 +110,7 @@ class TestExhaustiveSingleFault:
         trials = [(combo, site) for combo in combos for site in sites]
         matrix = np.array([combo for combo, _ in trials], dtype=np.uint8)
         fault_plan = [{op: position} for _, (op, position) in trials]
-        result = run_batch(plan, matrix, fault_plan=fault_plan)
+        result = run_tape(plan, matrix, fault_plan=fault_plan)
         for row, (combo, (op, position)) in enumerate(trials):
             report = scalar_report(
                 netlist,
@@ -117,18 +122,18 @@ class TestExhaustiveSingleFault:
             assert_trial_matches(
                 result, row, report, netlist, (scheme, multi_output, combo, op, position)
             )
-        # The SEP guarantee, batched form: any single fault anywhere is
+        # The SEP guarantee, tape form: any single fault anywhere is
         # corrected or detected — never a silent corruption.
         assert not (~result.outputs_correct & ~result.detected).any()
 
     def test_out_of_range_fault_positions_inject_nothing(self):
         # Scalar DeterministicFaultInjector never fires for a position its
-        # output counter cannot reach; batched must match (in particular a
-        # negative position must not wrap to the last output).
+        # output counter cannot reach; the tape engine must match (in
+        # particular a negative position must not wrap to the last output).
         netlist = get_campaign_workload("and2").netlist
         plan = compile_plan(netlist, "trim")
         matrix = np.array([[1, 1], [1, 1], [1, 1]], dtype=np.uint8)
-        result = run_batch(plan, matrix, fault_plan=[{0: -1}, {0: 99}, {}])
+        result = run_tape(plan, matrix, fault_plan=[{0: -1}, {0: 99}, {}])
         assert result.faults_injected.sum() == 0
         assert result.outputs_correct.all()
         assert not result.detected.any()
@@ -138,11 +143,11 @@ class TestExhaustiveSingleFault:
         plan = compile_plan(netlist, "unprotected")
         sites = plan.gate_fault_sites()
         matrix = np.tile(np.array([[1, 1]], dtype=np.uint8), (len(sites), 1))
-        result = run_batch(plan, matrix, fault_plan=[{op: pos} for op, pos in sites])
+        result = run_tape(plan, matrix, fault_plan=[{op: pos} for op, pos in sites])
         assert not result.detected.any()
         # Flipping the final AND output on inputs (1, 1) must corrupt it.
         assert not result.outputs_correct.all()
-        assert result.counts()["silent_corruption"] > 0
+        assert (~result.outputs_correct & ~result.detected).sum() > 0
 
 
 class TestStochasticDeterminism:
@@ -157,20 +162,21 @@ class TestStochasticDeterminism:
     def test_same_seeds_same_outcomes(self):
         plan, matrix, fault_seeds = self._spec(50)
         model = FaultModel(gate_error_rate=1e-2)
-        first = run_batch(plan, matrix, model, fault_seeds)
-        second = run_batch(plan, matrix, model, fault_seeds)
+        first = run_tape(plan, matrix, model, fault_seeds)
+        second = run_tape(plan, matrix, model, fault_seeds)
         assert np.array_equal(first.outputs, second.outputs)
-        assert first.counts() == second.counts()
+        assert np.array_equal(first.faults_injected, second.faults_injected)
+        assert np.array_equal(first.detected, second.detected)
 
     def test_outcomes_invariant_to_batch_composition(self):
-        # A trial's Philox stream is keyed by its own seed, so splitting the
+        # A trial's fault stream is keyed by its own seed, so splitting the
         # batch differently must not change any per-trial outcome.
         plan, matrix, fault_seeds = self._spec(40)
         model = FaultModel(gate_error_rate=1e-2, memory_error_rate=1e-3)
-        whole = run_batch(plan, matrix, model, fault_seeds)
+        whole = run_tape(plan, matrix, model, fault_seeds)
         split_at = 13
-        front = run_batch(plan, matrix[:split_at], model, fault_seeds[:split_at])
-        back = run_batch(plan, matrix[split_at:], model, fault_seeds[split_at:])
+        front = run_tape(plan, matrix[:split_at], model, fault_seeds[:split_at])
+        back = run_tape(plan, matrix[split_at:], model, fault_seeds[split_at:])
         assert np.array_equal(whole.outputs, np.vstack([front.outputs, back.outputs]))
         assert np.array_equal(
             whole.faults_injected,
@@ -181,8 +187,8 @@ class TestStochasticDeterminism:
     def test_different_seeds_differ(self):
         plan, matrix, fault_seeds = self._spec(60)
         model = FaultModel(gate_error_rate=1e-2)
-        a = run_batch(plan, matrix, model, fault_seeds)
-        b = run_batch(plan, matrix, model, [s + 10_000 for s in fault_seeds])
+        a = run_tape(plan, matrix, model, fault_seeds)
+        b = run_tape(plan, matrix, model, [s + 10_000 for s in fault_seeds])
         assert not np.array_equal(a.faults_injected, b.faults_injected)
 
 
@@ -196,16 +202,16 @@ class TestValidation:
         netlist = get_campaign_workload("and2").netlist
         plan = compile_plan(netlist, "unprotected")
         with pytest.raises(ProtectionError):
-            run_batch(plan, np.zeros((4, 7), dtype=np.uint8))
+            run_tape(plan, np.zeros((4, 7), dtype=np.uint8))
 
     def test_missing_fault_seeds_rejected(self):
         netlist = get_campaign_workload("and2").netlist
         plan = compile_plan(netlist, "unprotected")
         with pytest.raises(ProtectionError):
-            run_batch(plan, np.zeros((4, 2), dtype=np.uint8), FaultModel(gate_error_rate=0.1))
+            run_tape(plan, np.zeros((4, 2), dtype=np.uint8), FaultModel(gate_error_rate=0.1))
 
     def test_empty_batch_rejected(self):
         netlist = get_campaign_workload("and2").netlist
         plan = compile_plan(netlist, "unprotected")
         with pytest.raises(ProtectionError):
-            run_batch(plan, np.zeros((0, 2), dtype=np.uint8))
+            run_tape(plan, np.zeros((0, 2), dtype=np.uint8))

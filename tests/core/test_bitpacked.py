@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.campaign.workloads import get_campaign_workload
 from repro.core.backend import BitpackedBackend, derive_seed, make_backend
 from repro.core.batched import compile_plan, sample_input_matrix
+from repro.core import bitpacked as bitpacked_module
 from repro.core.bitpacked import (
     WORD_BITS,
     _gate_words,
@@ -113,8 +114,8 @@ class TestPackUnpack:
     )
     @settings(max_examples=60, deadline=None)
     def test_packed_xor_equals_uint8_xor(self, batch, cols, seed):
-        # Applying a fault mask in the packed domain must be the same
-        # operation as the uint8 engine's `state ^= mask`.
+        # XOR in the packed domain must be the same operation as XOR on the
+        # unpacked (B, k) bit matrix.
         rng = np.random.default_rng(seed)
         state = rng.integers(0, 2, size=(batch, cols), dtype=np.uint8)
         mask = rng.integers(0, 2, size=(batch, cols), dtype=np.uint8)
@@ -225,64 +226,96 @@ class TestSoaLowering:
 # ---------------------------------------------------------------------- #
 class TestRaggedBatchParity:
     """The differential grid runs B=16; these pin the word-boundary batch
-    sizes (B % 64 == 0, == 1, and mid-word) against the uint8 engine."""
+    sizes (B % 64 == 0, == 1, and mid-word) against the scalar oracle.
+
+    A trial's outcome depends only on its own inputs and seeds, so one
+    scalar run over the largest batch is the reference for every prefix."""
+
+    MAX_BATCH = 130
 
     @pytest.fixture(scope="class")
-    def backends(self):
+    def cell(self):
         netlist = get_campaign_workload("dot2").netlist
-        return (
-            make_backend("batched", netlist, "ecim"),
-            make_backend("bitpacked", netlist, "ecim"),
-        )
+        seeds = [derive_seed("ragged", trial, "faults") for trial in range(self.MAX_BATCH)]
+        matrix = sample_input_matrix(netlist, seeds)
+        scalar = make_backend("scalar", netlist, "ecim")
+        bitpacked = make_backend("bitpacked", netlist, "ecim")
+        references = {}
+
+        def reference(name, **kwargs):
+            if name not in references:
+                references[name] = scalar.run_trials(matrix, **kwargs)
+            return references[name]
+
+        return bitpacked, matrix, seeds, reference
+
+    @staticmethod
+    def _assert_prefix_equal(reference, candidate, batch, context):
+        for field in OUTCOME_FIELDS:
+            assert np.array_equal(
+                getattr(reference, field)[:batch], getattr(candidate, field)
+            ), (context, batch, field)
+
+    # Every rate class of the exact stochastic schedule at once: gate,
+    # metadata, presets (count-only on gate outputs, state-changing on
+    # preset steps) and memory reads.
+    ALL_RATES = FaultModelSpec.stochastic(
+        gate_error_rate=0.03,
+        memory_error_rate=0.01,
+        preset_error_rate=0.01,
+        metadata_error_rate=0.04,
+    )
 
     @pytest.mark.parametrize("batch", [1, 63, 64, 65, 128, 130])
-    def test_declarative_stochastic_byte_identical(self, backends, batch):
-        batched, bitpacked = backends
-        seeds = [derive_seed("ragged", trial, "faults") for trial in range(batch)]
-        matrix = sample_input_matrix(batched.netlist, seeds)
-        spec = FaultModelSpec.stochastic(
-            gate_error_rate=0.03, memory_error_rate=0.01, preset_error_rate=0.01
+    def test_declarative_stochastic_byte_identical(self, cell, batch):
+        bitpacked, matrix, seeds, reference = cell
+        kwargs = dict(fault_model=self.ALL_RATES, fault_seeds=seeds)
+        candidate = bitpacked.run_trials(
+            matrix[:batch], fault_model=self.ALL_RATES, fault_seeds=seeds[:batch]
         )
-        _assert_outcomes_equal(
-            batched.run_trials(matrix, fault_model=spec, fault_seeds=seeds),
-            bitpacked.run_trials(matrix, fault_model=spec, fault_seeds=seeds),
-            batch,
+        self._assert_prefix_equal(reference("stochastic", **kwargs), candidate, batch, "stochastic")
+
+    @pytest.mark.parametrize("batch", [1, 65])
+    def test_stochastic_stream_chunking_is_invisible(self, cell, batch, monkeypatch):
+        # One trial per stream chunk: the sparse events must not depend on
+        # how the (B, n_draws) uniform block is split.
+        bitpacked, matrix, seeds, reference = cell
+        monkeypatch.setattr(bitpacked_module, "_STREAM_CHUNK_BYTES", 1)
+        kwargs = dict(fault_model=self.ALL_RATES, fault_seeds=seeds)
+        candidate = bitpacked.run_trials(
+            matrix[:batch], fault_model=self.ALL_RATES, fault_seeds=seeds[:batch]
         )
+        assert candidate.faults_injected.sum() > 0
+        self._assert_prefix_equal(reference("stochastic", **kwargs), candidate, batch, "chunked")
 
     @pytest.mark.parametrize("batch", [63, 64, 65])
-    def test_burst_byte_identical(self, backends, batch):
-        batched, bitpacked = backends
-        seeds = [derive_seed("ragged-burst", trial) for trial in range(batch)]
-        matrix = sample_input_matrix(batched.netlist, seeds)
+    def test_burst_byte_identical(self, cell, batch):
+        bitpacked, matrix, seeds, reference = cell
         spec = FaultModelSpec.burst(
             burst_length=3, correlation_window=6, gate_error_rate=0.02,
             memory_error_rate=0.01,
         )
-        _assert_outcomes_equal(
-            batched.run_trials(matrix, fault_model=spec, fault_seeds=seeds),
-            bitpacked.run_trials(matrix, fault_model=spec, fault_seeds=seeds),
-            batch,
+        candidate = bitpacked.run_trials(
+            matrix[:batch], fault_model=spec, fault_seeds=seeds[:batch]
         )
+        full = reference("burst", fault_model=spec, fault_seeds=seeds)
+        self._assert_prefix_equal(full, candidate, batch, "burst")
 
-    def test_kflip_plans_byte_identical_across_all_backends(self, backends):
+    def test_kflip_plans_byte_identical(self, cell):
         import random
 
-        batched, bitpacked = backends
-        batch = 70
-        seeds = [derive_seed("ragged-plan", trial) for trial in range(batch)]
-        matrix = sample_input_matrix(batched.netlist, seeds)
-        sites = batched.plan.gate_fault_sites()
+        bitpacked, matrix, seeds, reference = cell
+        sites = bitpacked.plan.gate_fault_sites()
         plans = []
         for seed in seeds:
             entry = {}
             for op, pos in random.Random(seed).sample(sites, 2):
                 entry.setdefault(op, []).append(pos)
             plans.append(entry)
-        _assert_outcomes_equal(
-            batched.run_trials(matrix, fault_plan=plans),
-            bitpacked.run_trials(matrix, fault_plan=plans),
-            "plan",
-        )
+        batch = 70
+        candidate = bitpacked.run_trials(matrix[:batch], fault_plan=plans[:batch])
+        full = reference("plan", fault_plan=plans)
+        self._assert_prefix_equal(full, candidate, batch, "plan")
 
 
 # ---------------------------------------------------------------------- #
@@ -360,11 +393,11 @@ class TestBitpackedBackendSurface:
         assert backend.soa.plan is backend.plan
         assert backend._soa is not None
 
-    def test_sites_identical_to_batched(self):
+    def test_sites_identical_to_scalar(self):
         netlist = get_campaign_workload("dot2").netlist
-        batched = make_backend("batched", netlist, "trim")
+        scalar = make_backend("scalar", netlist, "trim")
         bitpacked = make_backend("bitpacked", netlist, "trim")
-        assert batched.enumerate_sites() == bitpacked.enumerate_sites()
+        assert scalar.enumerate_sites() == bitpacked.enumerate_sites()
 
     def test_run_packed_rejects_bad_matrix(self):
         netlist = get_campaign_workload("and2").netlist
@@ -373,6 +406,21 @@ class TestBitpackedBackendSurface:
             run_packed(soa, np.zeros((4, 99), dtype=np.uint8))
         with pytest.raises(ProtectionError):
             run_packed(soa, np.zeros((0, soa.n_inputs), dtype=np.uint8))
+
+    def test_run_packed_takes_one_fault_source(self):
+        netlist = get_campaign_workload("and2").netlist
+        soa = lower_plan(compile_plan(netlist, "ecim"))
+        matrix = np.ones((2, soa.n_inputs), dtype=np.uint8)
+        with pytest.raises(ProtectionError, match="one fault source"):
+            run_packed(
+                soa, matrix, model=FaultModel(gate_error_rate=0.1),
+                fault_seeds=[1, 2], fault_plan=[{0: 0}, {}],
+            )
+        with pytest.raises(ProtectionError, match="one fault source"):
+            run_packed(
+                soa, matrix, fault_plan=[{0: 0}, {}],
+                fault_model=FaultModelSpec.stuck_at((0,), 1),
+            )
 
     def test_word_bits_is_sixty_four(self):
         assert WORD_BITS == 64

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.campaign.workloads import get_campaign_workload
 from repro.core.backend import BACKEND_NAMES, make_backend
-from repro.core.batched import _deterministic_targets
+from repro.core.bitpacked import _deterministic_schedule
 from repro.core.faultplan import (
     FaultPlanArrays,
     combination_count,
@@ -73,15 +73,35 @@ class TestFaultPlanArrays:
             {1: (0, 2)},  # deduplicated and sorted, one flip per site
         ]
 
-    def test_targets_by_op_matches_dict_grouping(self):
-        plans = [{0: (0, 2)}, {3: 1}, {0: 1, 3: (0,)}, {}]
-        arrays = FaultPlanArrays.from_dicts(plans)
-        from_dicts = _deterministic_targets(plans)
-        from_arrays = _deterministic_targets(arrays)
-        assert set(from_dicts) == set(from_arrays)
-        for op in from_dicts:
-            pairs = sorted(zip(*map(list, from_dicts[op])))
-            assert sorted(zip(*map(list, from_arrays[op]))) == pairs
+    def test_deterministic_schedule_matches_dict_grouping(self):
+        # The tape engine's sparse events of a CSR batch must be exactly the
+        # dict plans' in-range (trial, position) flips, grouped by the tape
+        # step of each operation.
+        soa = make_backend("bitpacked", AND2, "ecim").soa
+        plans = [{0: (0, 2)}, {3: 1}, {0: 1, 3: (0,)}, {}, {0: 99}]
+        events, faults = _deterministic_schedule(
+            soa, FaultPlanArrays.from_dicts(plans), len(plans)
+        )
+        expected = {}
+        for trial, plan in enumerate(plans):
+            for op, positions in plan.items():
+                slot = int(soa.gate_slot_of_op[op])
+                width = int(soa.gate_out_ptr[slot + 1] - soa.gate_out_ptr[slot])
+                step = int(soa.gate_step_index[slot])
+                for position in np.atleast_1d(positions):
+                    if position < width:
+                        expected.setdefault(step, set()).add((trial, int(position)))
+        decoded = {
+            step: {
+                (int(word) * 64 + int(bit).bit_length() - 1, int(lane))
+                for word, lane, bit in zip(group.words, group.lanes, group.bits)
+            }
+            for step, group in events.items()
+        }
+        assert decoded == expected
+        counts = [sum(trial == t for pairs in expected.values() for t, _ in pairs)
+                  for trial in range(len(plans))]
+        assert faults.tolist() == counts
 
     def test_from_site_matrix_is_csr_of_the_site_tables(self):
         site_ops = np.array([7, 7, 9], dtype=np.int64)
@@ -176,6 +196,6 @@ class TestBroadcastInputs:
             backend.run_trials(AND2_INPUTS, n_trials=0)
 
     def test_missing_signal_is_rejected(self):
-        backend = make_backend("batched", AND2, "ecim")
+        backend = make_backend("bitpacked", AND2, "ecim")
         with pytest.raises(ProtectionError):
             backend.run_trials({AND2.inputs[0]: 1}, n_trials=2)

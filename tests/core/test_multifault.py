@@ -5,7 +5,7 @@ Pins down the three contracts the multi-fault subsystem rests on:
 * **k = 1 degeneracy** — a k = 1 multi-fault sweep equals the classic
   single-fault sweep byte-for-byte, per site and per outcome, on both
   backends (the acceptance criterion for the per-k coverage table).
-* **Backend parity at k = 2** — scalar and batched k-flip executions are
+* **Backend parity at k = 2** — scalar and bitpacked k-flip executions are
   bit-exact on the Fig. 6 AND example and on a synthesized dot-2x1 block,
   under both ECiM and TRiM.
 * **Budget-vs-t (Fig. 8)** — a BCH t = 2 ECiM corrects every k = 2 pair,
@@ -78,35 +78,35 @@ class TestSingleFaultDegeneracy:
         assert table[0].sep_guaranteed == single.sep_guaranteed
 
     def test_k1_chunking_is_invisible(self):
-        backend = make_backend("batched", AND2, "ecim")
+        backend = make_backend("bitpacked", AND2, "ecim")
         whole = exhaustive_multi_fault_injection(backend, AND2_INPUTS, k=2)
         chunked = exhaustive_multi_fault_injection(backend, AND2_INPUTS, k=2, chunk_size=7)
         assert _outcome_tuples(whole) == _outcome_tuples(chunked)
 
 
 class TestBackendParity:
-    """Scalar and batched k = 2 executions are bit-exact, per combination."""
+    """Scalar and bitpacked k = 2 executions are bit-exact, per combination."""
 
     @pytest.mark.parametrize("scheme", ["ecim", "trim"])
-    def test_and2_k2_scalar_equals_batched(self, scheme):
+    def test_and2_k2_scalar_equals_bitpacked(self, scheme):
         analyses = [
             exhaustive_multi_fault_injection(make_backend(name, AND2, scheme), AND2_INPUTS, k=2)
-            for name in ("scalar", "batched")
+            for name in ("scalar", "bitpacked")
         ]
         assert analyses[0].total_combinations > 0
         assert _outcome_tuples(analyses[0]) == _outcome_tuples(analyses[1])
 
     @pytest.mark.parametrize("scheme", ["ecim", "trim"])
-    def test_dot21_k2_scalar_equals_batched(self, scheme):
+    def test_dot21_k2_scalar_equals_bitpacked(self, scheme):
         scalar = make_backend("scalar", DOT21, scheme)
-        batched = make_backend("batched", DOT21, scheme)
+        bitpacked = make_backend("bitpacked", DOT21, scheme)
         sites = scalar.enumerate_sites(DOT21_INPUTS)
-        assert sites == batched.enumerate_sites(DOT21_INPUTS)
+        assert sites == bitpacked.enumerate_sites(DOT21_INPUTS)
         subset = sites[::SITE_STRIDE]
         assert len(subset) >= 3
         results = [
             exhaustive_multi_fault_injection(backend, DOT21_INPUTS, k=2, sites=subset)
-            for backend in (scalar, batched)
+            for backend in (scalar, bitpacked)
         ]
         assert results[0].total_combinations == len(subset) * (len(subset) - 1) // 2
         assert _outcome_tuples(results[0]) == _outcome_tuples(results[1])
@@ -116,7 +116,7 @@ class TestBackendParity:
         # under one operation index; a pair within that firing must inject
         # two faults (not one) on both backends and agree on the outcome.
         backends = {
-            name: make_backend(name, AND2, "ecim") for name in ("scalar", "batched")
+            name: make_backend(name, AND2, "ecim") for name in ("scalar", "bitpacked")
         }
         sites = backends["scalar"].enumerate_sites(AND2_INPUTS)
         by_op = {}
@@ -130,7 +130,7 @@ class TestBackendParity:
             )
             assert analysis.total_combinations == 1
             outcomes[name] = _outcome_tuples(analysis)
-        assert outcomes["scalar"] == outcomes["batched"]
+        assert outcomes["scalar"] == outcomes["bitpacked"]
 
 
 class TestBudgetVsCodeStrength:
@@ -171,8 +171,8 @@ class TestBudgetVsCodeStrength:
                 )
                 assert analysis.budget_violations == 0
 
-    def test_bch_scalar_equals_batched(self):
-        # The batched multi-error decode LUT must mirror the algebraic
+    def test_bch_scalar_equals_bitpacked(self):
+        # The bitpacked multi-error decode LUT must mirror the algebraic
         # Berlekamp-Massey decoder per combination, not just in aggregate.
         results = [
             exhaustive_multi_fault_injection(
@@ -181,36 +181,36 @@ class TestBudgetVsCodeStrength:
                 k=2,
                 correction_budget=2,
             )
-            for name in ("scalar", "batched")
+            for name in ("scalar", "bitpacked")
         ]
         assert _outcome_tuples(results[0]) == _outcome_tuples(results[1])
 
 
 class TestApiContracts:
     def test_k_must_be_positive(self):
-        backend = make_backend("batched", AND2, "ecim")
+        backend = make_backend("bitpacked", AND2, "ecim")
         with pytest.raises(ProtectionError):
             exhaustive_multi_fault_injection(backend, AND2_INPUTS, k=0)
 
     def test_k_beyond_site_count_fails_loudly(self):
-        backend = make_backend("batched", AND2, "ecim")
+        backend = make_backend("bitpacked", AND2, "ecim")
         n_sites = len(backend.enumerate_sites(AND2_INPUTS))
         with pytest.raises(ProtectionError):
             exhaustive_multi_fault_injection(backend, AND2_INPUTS, k=n_sites + 1)
 
     def test_chunk_size_must_be_positive(self):
-        backend = make_backend("batched", AND2, "ecim")
+        backend = make_backend("bitpacked", AND2, "ecim")
         with pytest.raises(ProtectionError):
             exhaustive_multi_fault_injection(backend, AND2_INPUTS, k=1, chunk_size=0)
 
     def test_as_single_fault_analysis_rejects_k2(self):
-        backend = make_backend("batched", AND2, "ecim")
+        backend = make_backend("bitpacked", AND2, "ecim")
         analysis = exhaustive_multi_fault_injection(backend, AND2_INPUTS, k=2)
         with pytest.raises(ProtectionError):
             analysis.as_single_fault_analysis()
 
     def test_keep_outcomes_false_keeps_counters_only(self):
-        backend = make_backend("batched", AND2, "ecim")
+        backend = make_backend("bitpacked", AND2, "ecim")
         kept = exhaustive_multi_fault_injection(backend, AND2_INPUTS, k=2)
         counted = exhaustive_multi_fault_injection(
             backend, AND2_INPUTS, k=2, keep_outcomes=False

@@ -4,14 +4,14 @@ One parametrized surface proves, for every registered candidate backend
 against the scalar reference:
 
 * byte-identical ``TrialOutcomes`` (counters + per-trial vectors) for all
-  four fault models on every (workload x scheme x gate-style) cell, from
+  five fault models on every (workload x scheme x gate-style) cell, from
   shared per-trial seeds;
 * identical fault-site enumeration (the property deterministic plans and
   campaign k-flip trials rest on);
 * per-site classification equality under the exhaustive single-fault SEP
   sweep, including on a synthesized workload netlist.
 
-These parametrizations consolidate the per-feature scalar-vs-batched
+These parametrizations consolidate the per-feature scalar-vs-tape
 equality tests that previously lived in ``tests/core/test_backend.py``; a
 new backend (e.g. a GPU tape) joins by registering one factory in
 ``conftest.BACKEND_FACTORIES``.
@@ -37,14 +37,14 @@ CANDIDATES = tuple(sorted(BACKEND_FACTORIES))
 @pytest.mark.parametrize("candidate", CANDIDATES)
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 class TestByteIdenticalOutcomes:
-    """Acceptance: byte-identical TrialOutcomes for all four fault models on
+    """Acceptance: byte-identical TrialOutcomes for all five fault models on
     the arithmetic workloads x both schemes (x both gate styles) plus the
     application netlists (fft4 full-width, mlp16 runtime-bounded), shared
     trial seeds."""
 
     def test_outcomes_byte_identical(self, cell, kind, candidate):
         reference = cell.reference_outcomes(kind)
-        outcome = cell.candidates[candidate].run_trials(cell.inputs, **cell.run_kwargs(kind))
+        outcome = cell.candidate_outcomes(candidate, kind)
         context = f"{cell.workload}/{cell.scheme}/mo={cell.multi_output}/{kind}/{candidate}"
         assert_outcomes_identical(reference, outcome, context)
         assert reference.n_trials == cell.trials
@@ -52,7 +52,7 @@ class TestByteIdenticalOutcomes:
     def test_models_actually_inject(self, cell, kind, candidate):
         """A differential pass over an all-clean batch proves nothing: every
         grid model must inject faults into a meaningful share of trials."""
-        outcome = cell.candidates[candidate].run_trials(cell.inputs, **cell.run_kwargs(kind))
+        outcome = cell.candidate_outcomes(candidate, kind)
         assert outcome.counts()["faulty_trials"] > 0
 
 
@@ -128,7 +128,6 @@ class TestSepEquivalence:
 @pytest.mark.parametrize("kind", [k for k in MODEL_KINDS if k != "plan"])
 class TestReproducibility:
     def test_fault_model_runs_reproduce_on_every_backend(self, cell, kind, candidate):
-        backend = cell.candidates[candidate]
-        first = backend.run_trials(cell.inputs, **cell.run_kwargs(kind))
-        again = backend.run_trials(cell.inputs, **cell.run_kwargs(kind))
+        first = cell.candidate_outcomes(candidate, kind)
+        again = cell.candidates[candidate].run_trials(cell.inputs, **cell.run_kwargs(kind))
         assert_outcomes_identical(first, again, f"reproducibility/{candidate}/{kind}")

@@ -1,4 +1,4 @@
-"""The scalar/batched RNG contract (ISSUE 5 satellite).
+"""The scalar/tape RNG contract.
 
 ``derive_seed`` keys every per-trial stream by name — ``"inputs"`` drives
 input sampling only, ``"faults"`` drives everything fault-related
@@ -12,7 +12,7 @@ contract documented in :func:`repro.core.backend.derive_seed`:
   injecting nothing at all, never perturbs a trial's inputs;
 * the shared Philox primitive consumed by both backends produces one and
   the same uniform sequence whether drawn scalar-style (``PhiloxRandom``,
-  one call at a time) or batched-style (one block per trial).
+  one call at a time) or tape-style (one block per trial).
 """
 
 import numpy as np
@@ -49,13 +49,13 @@ class TestStreamIndependence:
 
 
 class TestInputsInvariantToFaultModel:
-    @pytest.mark.parametrize("backend_name", ["scalar", "batched"])
+    @pytest.mark.parametrize("backend_name", ["scalar", "bitpacked"])
     def test_inputs_identical_under_every_fault_model(self, backend_name):
         """Consuming (or not consuming) the fault stream must never shift
         input sampling: the same input seeds give the same matrix, and a
         faulty batch leaves the caller's matrix untouched."""
         cell = get_cell("dot2", "ecim", True)
-        backend = cell.reference if backend_name == "scalar" else cell.candidates["batched"]
+        backend = cell.reference if backend_name == "scalar" else cell.candidates["bitpacked"]
         before = cell.inputs.copy()
         for kind in MODEL_KINDS:
             backend.run_trials(cell.inputs, **cell.run_kwargs(kind))
@@ -72,9 +72,9 @@ class TestInputsInvariantToFaultModel:
 
 
 class TestSharedPhiloxPrimitive:
-    def test_scalar_and_batched_draws_are_one_stream(self):
+    def test_scalar_and_bitpacked_draws_are_one_stream(self):
         # The mechanism behind byte-identical fault models: PhiloxRandom
-        # (scalar injectors) and _uniform_streams (batched tape) consume the
+        # (scalar injectors) and _uniform_streams (the tape engine) consume the
         # very same counter-based sequence for one trial seed.
         seeds = [derive_seed(11, t, "faults") for t in range(5)]
         block = _uniform_streams(seeds, 64)

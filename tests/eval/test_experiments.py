@@ -95,15 +95,15 @@ class TestFigureExperiments:
         assert result["ecim_protected"] == result["ecim_sites"]
         assert result["error_escapes_without_checks"] is True
 
-    def test_fig6_batched_backend_reproduces_scalar_artefact(self):
+    def test_fig6_bitpacked_backend_reproduces_scalar_artefact(self):
         # The acceptance criterion: per-site outcome equality means the whole
         # rendered Fig. 6 case table is identical across backends.
         scalar = experiment_fig6(backend="scalar")
-        batched = experiment_fig6(backend="batched")
-        assert batched["case_table"] == scalar["case_table"]
-        assert batched["rendered"] == scalar["rendered"]
+        bitpacked = experiment_fig6(backend="bitpacked")
+        assert bitpacked["case_table"] == scalar["case_table"]
+        assert bitpacked["rendered"] == scalar["rendered"]
         for key in ("ecim_sites", "ecim_protected", "trim_sites", "trim_protected"):
-            assert batched[key] == scalar[key]
+            assert bitpacked[key] == scalar[key]
 
     def test_fig7_time_overheads_in_band(self):
         result = experiment_fig7(benchmarks=SUBSET)
@@ -152,7 +152,7 @@ class TestAblationExperiments:
             "coverage",
             benchmark="mm8",
             gate_error_rates=(1e-4, 1e-3),
-            backend="batched",
+            backend="bitpacked",
             empirical_trials=120,
         )
         rows = result["empirical_rows"]
@@ -215,7 +215,7 @@ class TestMultifaultExperiment:
     def test_per_k_coverage_table(self):
         from repro.eval.experiments import experiment_multifault
 
-        result = experiment_multifault(workload="and2", max_faults=2, backend="batched")
+        result = experiment_multifault(workload="and2", max_faults=2, backend="bitpacked")
         assert result["budget_violations"] == 0
         hamming = result["coverage_rows"]["ecim/hamming"]
         bch = result["coverage_rows"]["ecim/bch-t2"]
@@ -240,7 +240,7 @@ class TestBurstExperiment:
             gate_error_rate=5e-3,
             trials=120,
             seed=2,
-            backend="batched",
+            backend="bitpacked",
         )
         assert result["burst_lengths"] == [1, 3]
         rows = result["rows"]
@@ -269,7 +269,7 @@ class TestBurstExperiment:
         from repro.pim.faults import FaultModelSpec
 
         netlist = get_campaign_workload("dot2").netlist
-        backend = make_backend("batched", netlist, "ecim")
+        backend = make_backend("bitpacked", netlist, "ecim")
         seeds = [derive_seed(4, t, "faults") for t in range(60)]
         inputs = sample_input_matrix(
             netlist, [derive_seed(4, t, "inputs") for t in range(60)]

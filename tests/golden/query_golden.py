@@ -54,7 +54,7 @@ def corpus_specs():
             trials=8,
             shard_size=4,
             seed=3,
-            backend="batched",
+            backend="bitpacked",
             fault_model="stochastic",
             application=True,
         ),

@@ -11,7 +11,6 @@ from repro.errors import GateOperandError
 from repro.pim.gates import GateType, gate_output, thr
 from repro.pim.vector import (
     TABLE_MAX_INPUTS,
-    apply_deterministic_flips,
     truth_table,
     vector_gate_output,
 )
@@ -105,30 +104,3 @@ class TestValidation:
         assert table is truth_table(GateType.NOR, 2)
         with pytest.raises(ValueError):
             table[0] = 0
-
-
-class TestDeterministicFlips:
-    def test_flips_exactly_the_requested_cells(self):
-        outputs = np.zeros((4, 3), dtype=np.uint8)
-        flipped = apply_deterministic_flips(
-            outputs, np.array([0, 2]), np.array([1, 2])
-        )
-        assert list(flipped) == [0, 2]
-        assert outputs[0, 1] == 1 and outputs[2, 2] == 1
-        assert outputs.sum() == 2
-
-    def test_out_of_range_positions_inject_nothing(self):
-        # Matches DeterministicFaultInjector: a position the output counter
-        # cannot reach never fires, and a negative index must not wrap.
-        outputs = np.ones((3, 2), dtype=np.uint8)
-        flipped = apply_deterministic_flips(
-            outputs, np.array([0, 1, 2]), np.array([-1, 5, 0])
-        )
-        assert list(flipped) == [2]
-        assert outputs.sum() == 5
-
-    def test_double_flip_restores_the_bit(self):
-        outputs = np.zeros((1, 1), dtype=np.uint8)
-        apply_deterministic_flips(outputs, np.array([0]), np.array([0]))
-        apply_deterministic_flips(outputs, np.array([0]), np.array([0]))
-        assert outputs[0, 0] == 0

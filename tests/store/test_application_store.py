@@ -21,7 +21,7 @@ def application_spec(**overrides):
         trials=16,
         shard_size=8,
         seed=5,
-        backend="batched",
+        backend="bitpacked",
         fault_model="stochastic",
         application=True,
         name="application-store-unit",

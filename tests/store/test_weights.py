@@ -21,7 +21,7 @@ def estimator_spec(**overrides):
         trials=64,
         shard_size=16,
         seed=7,
-        backend="batched",
+        backend="bitpacked",
         name="weights-unit",
         estimator="importance:rate=0.03",
     )

@@ -46,24 +46,24 @@ class TestCommands:
         assert main(["sep"]) == 0
         assert "Single error protection: holds" in capsys.readouterr().out
 
-    def test_sep_batched_backend_reproduces_scalar_output(self, capsys):
+    def test_sep_bitpacked_backend_reproduces_scalar_output(self, capsys):
         assert main(["sep"]) == 0
         scalar = capsys.readouterr().out
-        assert main(["sep", "--backend", "batched"]) == 0
+        assert main(["sep", "--backend", "bitpacked"]) == 0
         assert capsys.readouterr().out == scalar
 
     def test_sep_unknown_backend_fails_at_parse_time(self, capsys):
         with pytest.raises(SystemExit):
             main(["sep", "--backend", "vectorised"])
         err = capsys.readouterr().err
-        assert "scalar" in err and "batched" in err
+        assert "scalar" in err and "bitpacked" in err
 
     def test_run_backend_forwarded_to_execution_experiments(self, capsys):
-        assert main(["run", "ablation_granularity", "--backend", "batched"]) == 0
+        assert main(["run", "ablation_granularity", "--backend", "bitpacked"]) == 0
         assert "Ablation: check granularity" in capsys.readouterr().out
 
     def test_run_backend_ignored_for_analytic_experiments(self, capsys):
-        assert main(["run", "table1", "--backend", "batched"]) == 0
+        assert main(["run", "table1", "--backend", "bitpacked"]) == 0
         captured = capsys.readouterr()
         assert "Table I" in captured.out
         assert "analytic" in captured.err
@@ -119,27 +119,40 @@ class TestCampaignCommand:
         assert main(["campaign", "--spec", str(path), "--quiet"]) == 1
         assert "invalid campaign spec" in capsys.readouterr().err
 
-    def test_backend_flag_selects_batched(self, capsys):
-        assert main(CAMPAIGN_ARGS + ["--backend", "batched"]) == 0
+    def test_backend_flag_selects_bitpacked(self, capsys):
+        assert main(CAMPAIGN_ARGS + ["--backend", "bitpacked"]) == 0
         assert "36 trials across 3 cells" in capsys.readouterr().out
 
-    def test_engine_flag_is_a_deprecated_alias(self, capsys):
-        with pytest.deprecated_call():
-            assert main(CAMPAIGN_ARGS + ["--engine", "batched"]) == 0
-        assert "36 trials across 3 cells" in capsys.readouterr().out
+    def test_retired_engine_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit):
+            main(CAMPAIGN_ARGS + ["--engine", "bitpacked"])
+        assert "--engine" in capsys.readouterr().err
 
-    def test_conflicting_backend_and_engine_fail(self, capsys):
-        with pytest.deprecated_call():
-            assert main(
-                CAMPAIGN_ARGS + ["--backend", "scalar", "--engine", "batched"]
-            ) == 1
-        assert "conflicting flags" in capsys.readouterr().err
+    def test_retired_batched_backend_fails_with_choices(self, capsys):
+        with pytest.raises(SystemExit):
+            main(CAMPAIGN_ARGS + ["--backend", "batched"])
+        err = capsys.readouterr().err
+        assert "'batched'" in err and "'scalar', 'bitpacked'" in err
+
+    def test_batched_spec_file_fails_cleanly(self, capsys, tmp_path):
+        path = tmp_path / "batched.json"
+        path.write_text('{"workloads": ["and2"], "backend": "batched"}')
+        assert main(["campaign", "--spec", str(path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "invalid campaign spec" in err and "'batched'" in err
+
+    def test_engine_spec_file_fails_cleanly(self, capsys, tmp_path):
+        path = tmp_path / "engine.json"
+        path.write_text('{"workloads": ["and2"], "engine": "scalar"}')
+        assert main(["campaign", "--spec", str(path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "invalid campaign spec" in err and "unknown campaign spec fields" in err
 
     def test_unknown_backend_fails_at_parse_time(self, capsys):
         with pytest.raises(SystemExit):
             main(["campaign", "--backend", "vectorised", "--quiet"])
         err = capsys.readouterr().err
-        assert "scalar" in err and "batched" in err
+        assert "scalar" in err and "bitpacked" in err
 
     def test_faults_per_trial_flag(self, capsys):
         assert main([
@@ -153,7 +166,7 @@ class TestCampaignCommand:
         assert main([
             "campaign", "--workloads", "and2", "--rates", "5e-3",
             "--trials", "12", "--shard-size", "6", "--workers", "0",
-            "--backend", "batched", "--fault-model", "burst:length=3,window=6",
+            "--backend", "bitpacked", "--fault-model", "burst:length=3,window=6",
             "--quiet",
         ]) == 0
         assert "coverage" in capsys.readouterr().out
@@ -192,15 +205,15 @@ class TestCampaignCommand:
         )
         path = tmp_path / "spec.json"
         path.write_text(spec.to_json())
-        batched_hash = CampaignSpec.from_dict(
-            {**spec.to_dict(), "backend": "batched"}
+        bitpacked_hash = CampaignSpec.from_dict(
+            {**spec.to_dict(), "backend": "bitpacked"}
         ).spec_hash()
         assert main(
-            ["campaign", "--spec", str(path), "--backend", "batched",
+            ["campaign", "--spec", str(path), "--backend", "bitpacked",
              "--workers", "0", "--quiet"]
         ) == 0
-        # The run reports the batched spec hash, proving the override applied.
-        assert batched_hash in capsys.readouterr().out
+        # The run reports the bitpacked spec hash, proving the override applied.
+        assert bitpacked_hash in capsys.readouterr().out
 
 
 class TestStoreAndQueryCommands:
@@ -313,7 +326,7 @@ class TestStoreAndQueryCommands:
 
 class TestMultiFaultSweepCommand:
     def test_max_faults_table(self, capsys):
-        assert main(["sep", "--max-faults", "2", "--backend", "batched"]) == 0
+        assert main(["sep", "--max-faults", "2", "--backend", "bitpacked"]) == 0
         output = capsys.readouterr().out
         assert "Multi-fault sweep" in output
         assert "ecim/hamming" in output and "ecim/bch-t2" in output
@@ -329,9 +342,9 @@ class TestMultiFaultSweepCommand:
         netlist = and_gate_example_netlist()
         inputs = {signal: 1 for signal in netlist.inputs}
         single = exhaustive_single_fault_injection(
-            make_backend("batched", netlist, "ecim"), inputs
+            make_backend("bitpacked", netlist, "ecim"), inputs
         )
-        assert main(["sep", "--max-faults", "2", "--backend", "batched"]) == 0
+        assert main(["sep", "--max-faults", "2", "--backend", "bitpacked"]) == 0
         output = capsys.readouterr().out
         k1_row = next(
             line for line in output.splitlines()
