@@ -4,7 +4,7 @@ the same cells.
 Not a paper artefact.  Two shapes, matching how campaigns actually spend
 time:
 
-* the dot2 + ECiM Monte-Carlo shard (legacy stochastic model at 1e-3),
+* the dot2 + ECiM Monte-Carlo shard (stochastic model at 1e-3),
   benched at the engine level — one ``run_trials`` call over precomputed
   per-trial seeds and inputs, so the numbers isolate the interpreters.
   Geometric skip-sampling draws O(hits) uniforms per trial and every gate
@@ -25,7 +25,7 @@ from repro.campaign.workloads import get_campaign_workload
 from repro.campaign.worker import clear_executor_cache
 from repro.core.backend import derive_seed, make_backend
 from repro.core.batched import sample_input_matrix
-from repro.pim.faults import FaultModel
+from repro.pim.faults import FaultModelSpec
 
 SCALAR_TRIALS = 120
 BITPACKED_TRIALS = 20_000
@@ -35,8 +35,8 @@ KFLIP_TRIALS = 2000
 #: on the Monte-Carlo shard.
 SCALAR_FLOOR = 10.0
 
-#: The Monte-Carlo cell: dot2 + ECiM under the legacy stochastic model.
-_MODEL = FaultModel(gate_error_rate=1e-3)
+#: The Monte-Carlo cell: dot2 + ECiM under the stochastic model.
+_MODEL = FaultModelSpec.stochastic(gate_error_rate=1e-3, memory_error_rate=0.0)
 _SEED = 23
 
 _KFLIP_CELL = dict(
@@ -62,11 +62,11 @@ def _bench_engine(benchmark, name, trials):
     inputs = sample_input_matrix(
         netlist, [derive_seed(_SEED, "bench", trial, "inputs") for trial in range(trials)]
     )
-    backend.run_trials(inputs[:2], model=_MODEL, fault_seeds=seeds[:2])  # warm caches
+    backend.run_trials(inputs[:2], fault_model=_MODEL, fault_seeds=seeds[:2])  # warm caches
     outcomes = benchmark.pedantic(
         backend.run_trials,
         args=(inputs,),
-        kwargs={"model": _MODEL, "fault_seeds": seeds},
+        kwargs={"fault_model": _MODEL, "fault_seeds": seeds},
         rounds=1,
         iterations=1,
     )

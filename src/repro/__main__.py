@@ -33,8 +33,8 @@ Commands
     and render rates with Wilson intervals as table, CSV or JSON.
 
 Execution-bound commands take ``--backend {scalar,bitpacked}``:
-``scalar`` (default) walks the behavioural array per trial — the bit-exact
-legacy path and the oracle — and ``bitpacked`` interprets a compiled
+``scalar`` (default) walks the behavioural array per trial — the oracle —
+and ``bitpacked`` interprets a compiled
 instruction tape for all trials (or all fault sites) at once, 64 per uint64
 word (see :mod:`repro.core.backend`).
 """
@@ -441,8 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
             "faults on the listed row columns), or 'stochastic[:preset=1e-4,"
             "metadata=1e-3]' (independent flips with extra knobs). Unset "
             "rates inherit each grid cell's swept gate/memory rates; trials "
-            "are byte-identical across backends. Default: the legacy "
-            "independent-flip model"
+            "are byte-identical across backends. Default: the plain "
+            "stochastic model at each cell's rates"
         ),
     )
     campaign_parser.add_argument(
@@ -513,12 +513,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", choices=BACKEND_CHOICES, default=None,
         help=(
             "execution backend: 'scalar' walks the behavioural array per "
-            "trial (bit-exact legacy results, the default), 'bitpacked' "
-            "compiles the cell to an instruction tape and interprets each "
-            "shard as uint64 bitplanes, 64 trials per word (orders of "
-            "magnitude faster; skip-sampled fault streams under the default "
-            "fault model, reproducible per seed; --fault-model runs are "
-            "byte-identical to scalar)"
+            "trial (the oracle, the default), 'bitpacked' compiles the cell "
+            "to an instruction tape and interprets each shard as uint64 "
+            "bitplanes, 64 trials per word (orders of magnitude faster, "
+            "byte-identical counters)"
         ),
     )
     campaign_parser.add_argument(
@@ -604,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "only cells under this fault model: a full model string "
             "(canonicalised before matching), a bare kind such as 'burst', "
-            "or 'none' for the legacy independent-flip model (repeatable)"
+            "or 'none' for the default stochastic model (repeatable)"
         ),
     )
     query_parser.add_argument(

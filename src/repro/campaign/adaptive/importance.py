@@ -1,12 +1,12 @@
 """Importance sampling with error-rate tilting: exact likelihood reweighting.
 
-Under the legacy stochastic fault model with ``memory_error_rate == 0``,
-every enumerated fault site performs exactly one independent Bernoulli draw
-per trial, so the injected-fault pattern of a trial has probability
+Under the default stochastic fault model with ``memory_error_rate == 0``,
+every enumerated fault site is one independent Bernoulli trial per trial,
+so the injected-fault pattern of a trial has probability
 ``rate**f * (1 - rate)**(n_sites - f)`` where ``f = faults_injected`` — on
-every backend (the scalar injector and the uint64 bitplane engine both
-draw one Bernoulli per gate-output write; metadata sites inherit the gate
-rate).  Running trials at an inflated *proposal* rate ``q`` and
+every backend (both walk one fault stream whose gate and metadata
+countdowns hit each gate-output write at the gate rate; metadata sites
+inherit it).  Running trials at an inflated *proposal* rate ``q`` and
 reweighting each by the exact likelihood ratio
 
     w = (p/q)**f * ((1-p)/(1-q))**(n-f)

@@ -36,14 +36,22 @@ __all__ = [
     "CampaignCell",
     "ShardTask",
     "CampaignSpec",
+    "RNG_CONTRACT",
     "trial_seed",
 ]
+
+#: Version of the fault-stream contract trial outcomes are drawn under
+#: (:mod:`repro.pim.faults`).  It is part of :meth:`CampaignSpec.spec_hash`,
+#: so checkpoint records drawn under an earlier contract never mix with new
+#: ones: 2 is one ``random.Random`` per trial with a geometric countdown per
+#: injector call class, replayed byte for byte by every backend.
+RNG_CONTRACT = 2
 
 #: Protection schemes a campaign can exercise (executor per scheme).
 CAMPAIGN_SCHEMES = ("unprotected", "ecim", "trim")
 
 #: Trial execution backends: ``scalar`` walks the behavioural array per trial
-#: (the bit-exact legacy path), ``bitpacked`` interprets a compiled
+#: (the oracle), ``bitpacked`` interprets a compiled
 #: instruction tape for a whole shard at once, 64 trials per word — the
 #: campaign view of :data:`repro.core.backend.BACKEND_NAMES`.
 CAMPAIGN_BACKENDS = BACKEND_NAMES
@@ -247,10 +255,10 @@ class CampaignSpec:
     #: :func:`repro.pim.faults.parse_fault_model`): ``burst:length=3`` /
     #: ``stuck-at:cells=4+17,value=1`` / ``stochastic:preset=1e-4`` ...
     #: Rates the string leaves unset inherit each grid cell's swept
-    #: gate/memory rates.  Unset means the legacy independent-flip model —
-    #: and, like ``faults_per_trial``, the field is omitted from the
-    #: canonical dict when unset, so old checkpoints and spec files resume
-    #: unchanged.  Fault-model trials are byte-identical across backends.
+    #: gate/memory rates.  Unset means the plain ``stochastic`` model at the
+    #: cell's rates, and, like ``faults_per_trial``, the field is then
+    #: omitted from the canonical dict (and from cell keys).  Trials are
+    #: byte-identical across backends either way.
     fault_model: Optional[str] = None
     #: Rare-event estimator (``kind[:key=value,...]`` grammar, see
     #: :func:`repro.campaign.adaptive.parse_estimator`): ``uniform`` /
@@ -312,9 +320,9 @@ class CampaignSpec:
                 "importance weights"
             )
         if self.estimator is not None and not self.estimator.startswith("uniform"):
-            # Tilting and stratification reweight the *legacy stochastic*
-            # gate-rate model: exactly one Bernoulli draw per enumerated site
-            # per trial.  Alternative fault sources and memory-cell draws
+            # Tilting and stratification reweight the *default stochastic*
+            # gate-rate model: one independent Bernoulli trial per enumerated
+            # site per trial.  Alternative fault sources and memory-cell draws
             # would break the likelihood-ratio / strata arithmetic.
             if self.fault_model is not None or self.faults_per_trial is not None:
                 raise EvaluationError(
@@ -445,18 +453,13 @@ class CampaignSpec:
         Checkpoint records tagged with a different hash are ignored on load:
         changing any field that affects trial outcomes or shard boundaries
         (including the seed) makes old shard results unusable, and the hash is
-        how the store knows.  The cosmetic ``name`` is excluded, and so is
-        the backend while it holds its default (``scalar``) — keeping every
-        pre-backend checkpoint resumable — whereas ``bitpacked`` runs hash
-        differently because their legacy fault streams are skip-sampled
-        rather than ``random.Random``-per-site.  The canonical form keeps the
-        field's historical ``engine`` key, so existing checkpoints keep
-        their hash.
+        how the store knows.  The cosmetic ``name`` is excluded, and the
+        fault-stream contract version :data:`RNG_CONTRACT` is included: a
+        record drawn under another contract is ignored and its shard re-run,
+        so counters from two streams never mix.
         """
         data = self.to_dict()
         data.pop("name", None)
-        data["engine"] = data.pop("backend")
-        if data["engine"] == "scalar":
-            data.pop("engine")
+        data["rng_contract"] = RNG_CONTRACT
         canonical = json.dumps(data, sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]

@@ -9,10 +9,11 @@ for 1 or N workers" a structural property rather than a testing aspiration:
   (input sampling and fault injection as independent named streams), never
   from process-local state;
 * the fault source follows the cell: ``faults_per_trial`` builds
-  deterministic k-flip plans, ``fault_model`` runs the declarative
-  :class:`~repro.pim.faults.FaultModelSpec` layer (byte-identical across
-  backends; rates the grammar leaves unset inherit the cell's swept rates),
-  and otherwise the legacy per-cell stochastic :class:`FaultModel` applies;
+  deterministic k-flip plans, and otherwise the cell's
+  :class:`~repro.pim.faults.FaultModelSpec` runs — its ``fault_model``
+  string, or the plain stochastic model when none is set — with rates the
+  grammar leaves unset inheriting the cell's swept rates.  Either way the
+  counters are byte-identical across backends and worker counts;
 * trial execution goes through the
   :class:`~repro.core.backend.ExecutionBackend` protocol — the **scalar**
   backend reuses one executor per cell configuration through the ``reset``
@@ -51,7 +52,7 @@ from repro.core.backend import BoundedCache, ExecutionBackend, FaultSite, make_b
 from repro.core.batched import sample_input_matrix
 from repro.core.faultplan import FaultPlanArrays
 from repro.errors import EvaluationError
-from repro.pim.faults import FaultModel, FaultModelSpec, parse_fault_model
+from repro.pim.faults import FaultModelSpec, parse_fault_model
 from repro.pim.technology import get_technology
 
 __all__ = [
@@ -177,7 +178,7 @@ def _estimator_outcomes(task: ShardTask, est: EstimatorSpec, backend, inputs, fa
     if est.kind == "importance":
         outcomes = backend.run_trials(
             inputs,
-            model=FaultModel(gate_error_rate=est.rate, memory_error_rate=0.0),
+            fault_model=FaultModelSpec.stochastic(gate_error_rate=est.rate, memory_error_rate=0.0),
             fault_seeds=fault_seeds,
         )
         weights = likelihood_ratios(
@@ -217,17 +218,16 @@ def _estimator_outcomes(task: ShardTask, est: EstimatorSpec, backend, inputs, fa
     raise EvaluationError(f"unknown estimator kind {est.kind!r}")
 
 
-def _fault_model(cell: CampaignCell) -> FaultModel:
-    return FaultModel(
-        gate_error_rate=cell.gate_error_rate,
-        memory_error_rate=cell.memory_error_rate,
-    )
-
-
 def _fault_model_spec(cell: CampaignCell) -> FaultModelSpec:
-    """The cell's declarative fault model, with rates the grammar string left
-    unset inherited from the cell's swept gate/memory rates."""
-    return parse_fault_model(cell.fault_model).resolved(
+    """The cell's fault model — its ``fault_model`` string, or the plain
+    stochastic model — with rates the grammar string left unset inherited
+    from the cell's swept gate/memory rates."""
+    spec = (
+        FaultModelSpec.stochastic()
+        if cell.fault_model is None
+        else parse_fault_model(cell.fault_model)
+    )
+    return spec.resolved(
         gate_error_rate=cell.gate_error_rate,
         memory_error_rate=cell.memory_error_rate,
     )
@@ -303,19 +303,12 @@ def run_shard(task: ShardTask) -> ShardResult:
             ),
             capture_outputs=app is not None,
         )
-    elif cell.fault_model is not None:
+    else:
         spec = _fault_model_spec(cell)
         outcomes = backend.run_trials(
             inputs,
             fault_model=spec,
             fault_seeds=fault_seeds if spec.needs_seeds else None,
-            capture_outputs=app is not None,
-        )
-    else:
-        outcomes = backend.run_trials(
-            inputs,
-            model=_fault_model(cell),
-            fault_seeds=fault_seeds,
             capture_outputs=app is not None,
         )
     application = (

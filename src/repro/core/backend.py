@@ -15,9 +15,8 @@ Two implementations:
 * :class:`ScalarBackend` — the oracle.  It wraps the executor object model
   (:class:`~repro.core.executor.EcimExecutor` and friends).  One executor is
   built per backend and reused across trials through the ``reset()`` fast
-  path; fault streams are the bit-exact legacy ``random.Random`` ones, so
-  every artefact produced through this backend is byte-identical to the
-  pre-protocol code.
+  path, and each trial's injector walks the fault stream of
+  :mod:`repro.pim.faults` call by call.
 * :class:`BitpackedBackend` — the one tape engine.  The netlist execution
   is compiled to an instruction tape (:func:`~repro.core.batched.compile_plan`),
   lowered to structure-of-arrays form (:func:`~repro.core.soa.lower_plan`)
@@ -28,12 +27,12 @@ Two implementations:
   exhaustive fault sweeps run with *fault site as the batch dimension*.
 
 Equivalence contract (enforced by ``tests/core/test_sep.py``,
-``tests/core/test_backend.py`` and ``tests/differential/``): fault-free,
-deterministic fault-plan and declarative ``fault_model`` executions are
-exactly equal between the backends, per trial and per site; legacy
-``model=`` stochastic executions are statistically equivalent (same
-per-site Bernoulli model, backend-owned RNG streams) and reproducible for a
-fixed seed on each.
+``tests/core/test_backend.py`` and ``tests/differential/``): every
+execution — fault-free, deterministic fault plan, or any ``fault_model``
+(stochastic, burst, stuck-at) from shared per-trial seeds — is exactly
+equal between the backends, per trial and per site.  There is one fault
+stream (:mod:`repro.pim.faults`); the bit-packed engine replays it rather
+than owning one of its own.
 """
 
 from __future__ import annotations
@@ -54,13 +53,7 @@ from repro.core.faultplan import FaultPlanArrays
 from repro.core.executor import EXECUTORS_BY_SCHEME, ExecutionReport
 from repro.core.soa import SoaPlan, lower_plan
 from repro.errors import PimError, ProtectionError
-from repro.pim.faults import (
-    DeterministicFaultInjector,
-    FaultModel,
-    FaultModelSpec,
-    NoFaultInjector,
-    StochasticFaultInjector,
-)
+from repro.pim.faults import DeterministicFaultInjector, FaultModelSpec, NoFaultInjector
 from repro.pim.operations import NullTrace, OperationKind, OperationTrace
 from repro.pim.technology import TechnologyParameters, get_technology
 
@@ -131,12 +124,13 @@ def derive_seed(*components: object) -> int:
       (:func:`repro.campaign.workloads.sample_inputs` /
       :func:`repro.core.batched.sample_input_matrix`).  Never consumed by
       any injector, so a trial's inputs are invariant to the fault model.
-    * ``"faults"`` — *everything* fault-related for that trial: stochastic
-      Bernoulli draws (positions of independent flips), burst trigger draws
-      (hence burst start offsets; burst continuation flips consume no
-      draws, mirroring the scalar injector), and the uniform fault-site
-      choice of ``faults_per_trial`` k-flip plans.  Stuck-at models are
-      purely deterministic — their afflicted cells come from the
+    * ``"faults"`` — *everything* fault-related for that trial, drawn from
+      one ``random.Random(seed)``: the geometric gaps of the stochastic
+      and burst countdowns (one lazy countdown per injector call class,
+      drawing at a class's first call and at its first call after each
+      hit; burst continuation flips draw nothing), and the uniform
+      fault-site choice of ``faults_per_trial`` k-flip plans.  Stuck-at
+      models are purely deterministic — their afflicted cells come from the
       :class:`~repro.pim.faults.FaultModelSpec`, never from a stream.
 
     Because the two names hash to independent seeds, changing the fault
@@ -233,17 +227,13 @@ class ExecutionBackend(abc.ABC):
     * a deterministic ``fault_plan`` (one ``{op index: output position(s)}``
       mapping per trial — single-int values for the classic single-fault
       sweep, position lists for k simultaneous flips);
-    * a stochastic ``model`` with one ``fault_seeds`` entry per trial (the
-      legacy Monte-Carlo form: bit-exact ``random.Random`` streams on the
-      scalar backend, skip-sampled ones on the bit-packed one —
-      statistically, not byte-wise, equivalent);
     * a declarative ``fault_model``
       (:class:`~repro.pim.faults.FaultModelSpec`: stochastic, burst or
-      stuck-at), with ``fault_seeds`` whenever the model draws
-      (``spec.needs_seeds``) — the unified fault-model layer, byte-identical
-      across backends from shared trial seeds.
+      stuck-at), with one ``fault_seeds`` entry per trial whenever the
+      model draws (``spec.needs_seeds``).
 
-    None of the three means fault-free execution.
+    Both are byte-identical across backends; neither means fault-free
+    execution.
     """
 
     name: ClassVar[str]
@@ -259,7 +249,6 @@ class ExecutionBackend(abc.ABC):
         *,
         n_trials: Optional[int] = None,
         fault_plan: Optional[FaultPlans] = None,
-        model: Optional[FaultModel] = None,
         fault_seeds: Optional[Sequence[int]] = None,
         fault_model: Optional[FaultModelSpec] = None,
         capture_outputs: bool = False,
@@ -288,50 +277,32 @@ class ExecutionBackend(abc.ABC):
         self,
         n_trials: int,
         fault_plan: Optional[Sequence[FaultPlanEntry]],
-        model: Optional[FaultModel],
         fault_seeds: Optional[Sequence[int]],
         fault_model: Optional[FaultModelSpec] = None,
     ) -> None:
-        if fault_model is not None and (
-            fault_plan is not None or (model is not None and not model.is_error_free)
-        ):
-            raise ProtectionError(
-                "a batch takes one fault source: a declarative fault_model is "
-                "exclusive with both fault_plan and a stochastic model"
-            )
-        if fault_plan is not None and model is not None and not model.is_error_free:
+        if fault_model is not None and fault_plan is not None:
             raise ProtectionError(
                 "a batch takes one fault source: a deterministic fault_plan "
-                "or a stochastic model, not both"
+                "or a declarative fault_model, not both"
             )
         if fault_plan is not None and len(fault_plan) != n_trials:
             raise ProtectionError(
                 "fault_plan must supply one entry per trial "
                 f"(got {len(fault_plan)} for {n_trials} trials)"
             )
-        if fault_seeds is not None and model is None and fault_model is None:
-            # Seeds only drive a stochastic model; accepting them alone would
-            # silently run fault-free (a forgotten model= kwarg must not
-            # masquerade as 100% coverage).
+        if fault_seeds is not None and (fault_model is None or not fault_model.needs_seeds):
+            # Seeds next to no model, or next to a model that draws nothing,
+            # would silently run fault-free (or, for stuck-at, ignore the
+            # seeds) — usually a forgotten fault_model, or a spec whose rates
+            # were left as None-"inherit" without calling .resolved().  Such
+            # a batch must not masquerade as 100% coverage.
+            described = "no fault model" if fault_model is None else repr(fault_model.to_string())
             raise ProtectionError(
-                "fault_seeds have no effect without a stochastic fault model; "
-                "pass model=FaultModel(...) alongside them"
+                f"fault_seeds have no effect on {described}, which draws "
+                "nothing; pass a drawing fault_model (resolving its inherited "
+                "rates) or drop the seeds"
             )
-        if fault_seeds is not None and fault_model is not None and not fault_model.needs_seeds:
-            # Same masquerade guard for the declarative layer: seeds next to
-            # a model that draws nothing usually means the spec's rates were
-            # left as None-"inherit" and nobody called .resolved() — that
-            # batch would silently run fault-free (or, for stuck-at, ignore
-            # the seeds), not what the caller asked for.
-            raise ProtectionError(
-                "fault_seeds have no effect on this fault model "
-                f"({fault_model.to_string()!r} draws nothing); resolve its "
-                "inherited rates or drop the seeds"
-            )
-        needs_seeds = (model is not None and not model.is_error_free) or (
-            fault_model is not None and fault_model.needs_seeds
-        )
-        if needs_seeds:
+        if fault_model is not None and fault_model.needs_seeds:
             if fault_seeds is None or len(fault_seeds) != n_trials:
                 raise ProtectionError(
                     "stochastic fault injection needs one fault seed per trial "
@@ -408,9 +379,9 @@ class ExecutionBackend(abc.ABC):
 
 
 class ScalarBackend(ExecutionBackend):
-    """The executor object model behind the backend protocol (bit-exact
-    legacy path: ``random.Random`` fault streams, one behavioural-array run
-    per trial, executor reuse through ``reset()``)."""
+    """The executor object model behind the backend protocol (the oracle:
+    one behavioural-array run per trial, executor reuse through
+    ``reset()``)."""
 
     name = "scalar"
 
@@ -484,7 +455,6 @@ class ScalarBackend(ExecutionBackend):
         *,
         n_trials: Optional[int] = None,
         fault_plan: Optional[FaultPlans] = None,
-        model: Optional[FaultModel] = None,
         fault_seeds: Optional[Sequence[int]] = None,
         fault_model: Optional[FaultModelSpec] = None,
         capture_outputs: bool = False,
@@ -494,7 +464,7 @@ class ScalarBackend(ExecutionBackend):
         rows = self._input_rows(inputs, n_trials)
         if not rows:
             raise ProtectionError("a batch needs at least one trial")
-        self._validate_fault_args(len(rows), fault_plan, model, fault_seeds, fault_model)
+        self._validate_fault_args(len(rows), fault_plan, fault_seeds, fault_model)
         if fault_model is not None and fault_model.is_error_free:
             fault_model = None
         if fault_model is not None:
@@ -505,7 +475,6 @@ class ScalarBackend(ExecutionBackend):
                 fault_model.validate_columns(executor.array.cols, layout="executor row")
             except PimError as error:
                 raise ProtectionError(str(error)) from None
-        stochastic = model is not None and not model.is_error_free
         outputs_correct = np.zeros(len(rows), dtype=bool)
         detected = np.zeros(len(rows), dtype=bool)
         corrections = np.zeros(len(rows), dtype=np.int64)
@@ -525,8 +494,6 @@ class ScalarBackend(ExecutionBackend):
                 injector = fault_model.make_injector(
                     seed=fault_seeds[trial] if fault_model.needs_seeds else None
                 )
-            elif stochastic:
-                injector = StochasticFaultInjector(model, seed=fault_seeds[trial])
             else:
                 injector = NoFaultInjector()
             executor.reset(fault_injector=injector)
@@ -637,19 +604,17 @@ class BitpackedBackend(ExecutionBackend):
         *,
         n_trials: Optional[int] = None,
         fault_plan: Optional[FaultPlans] = None,
-        model: Optional[FaultModel] = None,
         fault_seeds: Optional[Sequence[int]] = None,
         fault_model: Optional[FaultModelSpec] = None,
         capture_outputs: bool = False,
     ) -> TrialOutcomes:
         matrix = self._input_matrix(inputs, n_trials)
-        self._validate_fault_args(matrix.shape[0], fault_plan, model, fault_seeds, fault_model)
+        self._validate_fault_args(matrix.shape[0], fault_plan, fault_seeds, fault_model)
         if fault_model is not None and fault_model.is_error_free:
             fault_model = None
         result = run_packed(
             self.soa,
             matrix,
-            model=model,
             fault_seeds=fault_seeds,
             fault_plan=fault_plan,
             fault_model=fault_model,
@@ -688,7 +653,7 @@ class BitpackedBackend(ExecutionBackend):
 
 
 #: Registered execution backends, in default-first order.  ``scalar`` is the
-#: bit-exact legacy path (the oracle) and stays the default everywhere; adding a backend
+#: oracle and stays the default everywhere; adding a backend
 #: here is the one-line registration that wires it into ``make_backend``,
 #: every ``--backend`` CLI choice and the differential/golden harnesses.
 _BACKENDS = {

@@ -27,13 +27,10 @@ site indices:
 The tape is lowered once more to structure-of-arrays form
 (:mod:`repro.core.soa`) and interpreted 64 trials per word by
 :mod:`repro.core.bitpacked`, the one tape engine; the scalar object model
-stays the oracle it must match.  This module also keeps the pieces of
-per-trial state that engine shares: :class:`BatchResult`, the per-trial
-Philox streams of :func:`_uniform_streams` (keyed by the trial's campaign
-seed, so a trial's outcome depends only on its own seed, never on batch
-composition), the burst state machine :class:`_BurstInjection` and the
-stuck-cell table :class:`_StuckCells`.  Input sampling is shared
-bit-for-bit with the scalar path via :func:`sample_input_matrix`.
+stays the oracle it must match.  This module also keeps the engine's
+result record :class:`BatchResult` and the stuck-cell table
+:class:`_StuckCells`.  Input sampling is shared bit-for-bit with the scalar
+path via :func:`sample_input_matrix`.
 """
 
 from __future__ import annotations
@@ -461,82 +458,6 @@ class BatchResult:
         return (self.outputs == self.golden).all(axis=1)
 
 
-def _uniform_streams(seeds: Sequence[int], n_draws: int) -> np.ndarray:
-    """One Philox-generated uniform stream per trial.
-
-    Each row is generated from its own counter-based generator keyed by the
-    trial seed, so a trial's fault stream is invariant to batch composition
-    (shard size, trial order, neighbours)."""
-    streams = np.empty((len(seeds), n_draws), dtype=np.float64)
-    for row, seed in enumerate(seeds):
-        generator = np.random.Generator(np.random.Philox(key=int(seed)))
-        streams[row] = generator.random(n_draws)
-    return streams
-
-
-class _BurstInjection:
-    """Vectorised :class:`~repro.pim.faults.BurstFaultInjector` semantics.
-
-    Per-trial state mirrors the scalar injector exactly: ``remaining`` burst
-    flips, the operation index the burst ``expires`` at, and a per-trial
-    ``cursor`` into that trial's Philox stream — cursors diverge across
-    trials because a trial inside a burst flips *without drawing*, exactly
-    like the scalar injector's lazy draws.  Bursts wrap across gate firings
-    (and hence across the row's output cells) the same way the scalar
-    injector carries ``_burst_remaining`` into subsequent operations until
-    the correlation window expires.
-    """
-
-    def __init__(self, spec: FaultModelSpec, streams: np.ndarray) -> None:
-        batch = streams.shape[0]
-        self.rate = spec.gate_error_rate or 0.0
-        self.memory_rate = spec.memory_error_rate or 0.0
-        self.burst_length = spec.burst_length
-        self.window = spec.correlation_window
-        self.streams = streams
-        self.cursor = np.zeros(batch, dtype=np.intp)
-        self.remaining = np.zeros(batch, dtype=np.int64)
-        self.expires = np.full(batch, -1, dtype=np.int64)
-
-    def corrupt_gate_outputs(self, op_index: int, out: np.ndarray) -> np.ndarray:
-        """Flip burst victims in the ``(B, n_outputs)`` output block in
-        place; returns the per-trial flip counts.  Output cells of one firing
-        are visited in order, so a burst started on one output continues into
-        the remaining outputs of the same operation."""
-        flips = np.zeros(out.shape[0], dtype=np.int64)
-        for position in range(out.shape[1]):
-            in_burst = (self.remaining > 0) & (op_index <= self.expires)
-            flip = in_burst.copy()
-            self.remaining[in_burst] -= 1
-            if self.rate > 0.0:
-                idle = np.nonzero(~in_burst)[0]
-                if idle.size:
-                    draws = self.streams[idle, self.cursor[idle]]
-                    self.cursor[idle] += 1
-                    started = idle[draws < self.rate]
-                    if started.size:
-                        self.remaining[started] = self.burst_length - 1
-                        self.expires[started] = op_index + self.window
-                        flip[started] = True
-            out[flip, position] ^= 1
-            flips += flip
-        return flips
-
-    def corrupt_stored_bits(self, state: np.ndarray, columns: np.ndarray) -> np.ndarray:
-        """Independent memory errors on a checker-transfer read (bursts only
-        correlate *gate* outputs, as in the scalar injector)."""
-        batch = state.shape[0]
-        if self.memory_rate <= 0.0 or columns.shape[0] == 0:
-            return np.zeros(batch, dtype=np.int64)
-        n = columns.shape[0]
-        rows = np.arange(batch)[:, None]
-        draws = self.streams[rows, self.cursor[:, None] + np.arange(n)[None, :]]
-        self.cursor += n
-        mask = draws < self.memory_rate
-        state[:, columns] ^= mask.astype(np.uint8)
-        return mask.sum(axis=1, dtype=np.int64)
-
-
 class _StuckCells:
     """Vectorised :class:`~repro.pim.faults.StuckAtFaultInjector` semantics.
 
@@ -557,15 +478,3 @@ class _StuckCells:
         self.value = int(spec.stuck_polarity)
         self.is_stuck = np.zeros(n_cols, dtype=bool)
         self.is_stuck[columns] = True
-
-    def apply(self, state: np.ndarray, columns: np.ndarray) -> np.ndarray:
-        """Force afflicted cells among ``columns`` to the stuck value;
-        returns per-trial counts of cells that actually changed (the scalar
-        injector logs a fault event only when the stored bit disagrees)."""
-        hit = self.is_stuck[columns]
-        if not hit.any():
-            return np.zeros(state.shape[0], dtype=np.int64)
-        stuck_cols = columns[hit]
-        flips = (state[:, stuck_cols] != self.value).sum(axis=1, dtype=np.int64)
-        state[:, stuck_cols] = self.value
-        return flips

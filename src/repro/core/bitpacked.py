@@ -12,24 +12,22 @@ buffers, not on Python step objects.
 Every fault source except stuck-at is first turned into one form — sparse
 per-step flip events (:class:`_StepEvents`), grouped by tape step — which
 the interpreter XORs into the gate output block or the preset/read
-columns.  Equivalence contract (enforced by ``tests/differential/`` and
+columns.  Every source is **byte-identical** to the scalar backend from
+shared per-trial seeds (enforced by ``tests/differential/`` and
 ``tests/golden/``):
 
-* fault-free, deterministic ``fault_plan`` and declarative ``fault_model``
-  executions (stochastic / burst / stuck-at) are **byte-identical** to the
-  scalar backend from shared per-trial seeds — stochastic hits come from
-  one compare of the per-trial Philox streams against a per-draw rate
-  vector, in the scalar injector's draw order; burst flip decisions are
-  data-independent, so they are replayed through the
-  :class:`~repro.core.batched._BurstInjection` state machine;
-* legacy ``model=FaultModel(...)`` executions are *statistically*
-  equivalent and reproducible per trial seed (each backend owns its
-  legacy stream discipline).  Here the discipline is **geometric
-  skip-sampling**: per trial, per fault class, a ``random.Random(seed)``
-  walk emits the gaps between Bernoulli hits directly
-  (``gap = floor(log1p(-u) / log1p(-p))``), so a campaign cell at rate
-  1e-3 samples ~2 flips instead of ~1700 uniforms per trial — which is
-  what keeps the engine compute-bound instead of RNG-bound.
+* deterministic ``fault_plan`` flips map straight to events;
+* the stochastic fault stream (:mod:`repro.pim.faults`: one
+  ``random.Random(seed)`` per trial, one lazy geometric countdown per
+  injector call class) is replayed in O(hits) per trial by jumping each
+  class from draw to draw over its :class:`~repro.core.soa.SiteClass`
+  table and serving the draws in scalar call order — a cell at rate 1e-3
+  draws a handful of uniforms per trial, not one per site;
+* burst flip decisions are data-independent, so the :class:`_BurstInjection`
+  state machine walks the tape over per-trial countdowns and emits the
+  scalar injector's flips;
+* stuck-at re-applies its stuck value at the scalar injector's touch
+  points instead.
 
 Tail lanes (trial indices >= B in the last word) hold whatever the word
 ops produce; every per-trial reduction unpacks through
@@ -39,6 +37,7 @@ name real trials, so they can never leak into outcomes.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -46,12 +45,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 import numpy as np
 
 from repro.compiler.netlist import Netlist
-from repro.core.batched import (
-    BatchResult,
-    _BurstInjection,
-    _StuckCells,
-    _uniform_streams,
-)
+from repro.core.batched import BatchResult, _StuckCells
 from repro.core.faultplan import FaultPlanArrays
 from repro.core.soa import (
     KIND_ECIM,
@@ -59,10 +53,11 @@ from repro.core.soa import (
     KIND_PRESET,
     KIND_READ,
     KIND_TRIM,
+    SiteClass,
     SoaPlan,
 )
 from repro.errors import ProtectionError
-from repro.pim.faults import FaultModel, FaultModelSpec
+from repro.pim.faults import FaultModel, FaultModelSpec, geometric_gap
 from repro.pim.gates import GateType
 from repro.pim.vector import TABLE_MAX_INPUTS, truth_table, vector_gate_output
 
@@ -329,178 +324,194 @@ def _require_seeds(kind: str, fault_seeds, batch: int) -> None:
         )
 
 
-def _fault_classes(
-    soa: SoaPlan, model: FaultModel
-) -> List[Tuple[np.ndarray, np.ndarray, float, bool]]:
-    """The stochastic fault classes ``model`` draws on ``soa``, in the fixed
-    order one legacy trial walk samples them.
-
-    Each entry is ``(site steps, site lanes, rate, applied)``: the (tape
-    step, lane) of every site of the class, its Bernoulli rate, and whether
-    a hit flips state (presets on gate outputs are overwritten by the
-    firing itself, so that class only counts fault events).  Classes
-    without sites or at rate 0 draw nothing and are left out.
-    """
-    preset = model.preset_error_rate
+def _stream_classes(soa: SoaPlan, model: FaultModel) -> List[Tuple[SiteClass, float]]:
+    """The injector call classes ``model`` draws on, with their rates.
+    Classes without sites or at rate 0 draw nothing and are left out."""
     candidates = (
-        (soa.gate_site_step, soa.gate_site_lane, model.gate_error_rate, True),
-        (soa.meta_site_step, soa.meta_site_lane, model.effective_metadata_error_rate, True),
-        (
-            np.concatenate((soa.gate_site_step, soa.meta_site_step)),
-            np.concatenate((soa.gate_site_lane, soa.meta_site_lane)),
-            preset,
-            False,
-        ),
-        (soa.preset_site_step, soa.preset_site_lane, preset, True),
-        (soa.read_site_step, soa.read_site_lane, model.memory_error_rate, True),
+        (soa.gate_sites, model.gate_error_rate),
+        (soa.meta_sites, model.effective_metadata_error_rate),
+        (soa.preset_sites, model.preset_error_rate),
+        (soa.read_sites, model.memory_error_rate),
     )
-    return [entry for entry in candidates if entry[0].shape[0] and entry[2] > 0.0]
+    return [(sites, rate) for sites, rate in candidates if sites.size and rate > 0.0]
 
 
-#: Working-set budget of one chunk of the exact stochastic schedule's
-#: ``(rows, n_draws)`` uniform block: bounds peak memory whatever the shard
-#: size, with no effect on the draws themselves.
-_STREAM_CHUNK_BYTES = 1 << 22
+def _stream_hits(
+    soa: SoaPlan, model: FaultModel, fault_seeds: Sequence[int], batch: int
+) -> List[Tuple[SiteClass, np.ndarray, np.ndarray]]:
+    """Every hit of the stochastic fault stream, as ``(class, trials,
+    positions)`` per call class — O(hits) per trial.
+
+    The scalar injector runs one :class:`~repro.pim.faults.GeometricCountdown`
+    per call class over one ``random.Random(seed)``; a class draws at its
+    first call and at its first call after each hit.  The replay jumps each
+    class from draw to draw over its :class:`~repro.core.soa.SiteClass`
+    table and serves the classes' draws in scalar call order (smallest
+    ``call`` rank first), so it consumes the trial's generator exactly like
+    the scalar walk.  Classes at rate >= 1 hit every site without drawing.
+    """
+    hits: List[Tuple[SiteClass, np.ndarray, np.ndarray]] = []
+    drawn = []
+    for sites, rate in _stream_classes(soa, model):
+        if rate >= 1.0:
+            hits.append((
+                sites,
+                np.repeat(np.arange(batch), sites.size),
+                np.tile(np.arange(sites.size), batch),
+            ))
+        else:
+            calls = memoryview(sites.call)  # Python ints on indexing, no copy
+            drawn.append((sites, sites.size, calls, math.log1p(-rate), [], []))
+    for trial, seed in enumerate(fault_seeds):
+        draw = random.Random(seed).random
+        # (call rank of the class's next draw, class, site position)
+        heads = [(entry[2][0], index, 0) for index, entry in enumerate(drawn)]
+        heapq.heapify(heads)
+        while heads:
+            _, index, position = heads[0]
+            _, size, calls, log_miss, hit_trials, hit_positions = drawn[index]
+            position += geometric_gap(draw(), log_miss)
+            if position + 1 < size:
+                heapq.heapreplace(heads, (calls[position + 1], index, position + 1))
+            else:
+                heapq.heappop(heads)
+            if position < size:
+                hit_trials.append(trial)
+                hit_positions.append(position)
+    for sites, _, _, _, hit_trials, hit_positions in drawn:
+        hits.append((
+            sites,
+            np.asarray(hit_trials, dtype=np.intp),
+            np.asarray(hit_positions, dtype=np.intp),
+        ))
+    return hits
 
 
 def _exact_stochastic_schedule(
     soa: SoaPlan, model: FaultModel, fault_seeds: Optional[Sequence[int]], batch: int
 ) -> Tuple[Dict[int, _StepEvents], np.ndarray]:
-    """Sparse per-step flip events from the shared per-trial Philox streams
-    — the byte-identity path of the declarative stochastic model.
-
-    A trial's stream is consumed in tape order: per gate firing, one
-    preset draw per output cell (count-only) and then one flip draw per
-    output at the firing's gate or metadata rate; per preset or read step,
-    one draw per cell.  Every draw column therefore has a fixed site and
-    rate, so the schedule is one compare of the stream block against the
-    per-column rate vector followed by ``np.nonzero``, chunked over trials.
-    """
+    """Sparse per-step flip events of the stochastic fault stream
+    (:func:`_stream_hits`).  Every hit counts as a fault; count-only hits
+    (presets on gate outputs) emit no event."""
     faults = np.zeros(batch, dtype=np.int64)
-    classes = _fault_classes(soa, model)
-    if not classes:
+    if not _stream_classes(soa, model):
         return {}, faults
     _require_seeds("stochastic", fault_seeds, batch)
-    sizes = [entry[0].shape[0] for entry in classes]
-    steps = np.concatenate([entry[0] for entry in classes])
-    lanes = np.concatenate([entry[1] for entry in classes])
-    rates = np.repeat([entry[2] for entry in classes], sizes)
-    applied = np.repeat([entry[3] for entry in classes], sizes)
-    # Draw order: tape step, then count-only gate presets before the flips
-    # of the same firing, then lane.
-    order = np.lexsort((lanes, applied, steps))
-    steps, lanes, rates, applied = steps[order], lanes[order], rates[order], applied[order]
-    n_draws = steps.shape[0]
-    chunk = max(1, _STREAM_CHUNK_BYTES // (8 * n_draws))
-    hit_trials, hit_draws = [], []
-    for start in range(0, batch, chunk):
-        stop = min(start + chunk, batch)
-        streams = _uniform_streams(fault_seeds[start:stop], n_draws)
-        rows, draws = np.nonzero(streams < rates)
-        faults[start:stop] = np.bincount(rows, minlength=stop - start)
-        keep = applied[draws]
-        hit_trials.append(rows[keep] + start)
-        hit_draws.append(draws[keep])
-    draws = np.concatenate(hit_draws)
-    return _group_events(np.concatenate(hit_trials), steps[draws], lanes[draws]), faults
+    trials, steps, lanes = [], [], []
+    for sites, hit_trials, positions in _stream_hits(soa, model, fault_seeds, batch):
+        faults += np.bincount(hit_trials, minlength=batch)
+        keep = sites.applied[positions]
+        trials.append(hit_trials[keep])
+        steps.append(sites.step[positions[keep]])
+        lanes.append(sites.lane[positions[keep]])
+    events = _group_events(np.concatenate(trials), np.concatenate(steps), np.concatenate(lanes))
+    return events, faults
+
+
+#: A countdown gap no execution reaches: larger gaps are clamped to it so
+#: the per-trial gap arrays stay int64.
+_NEVER = 1 << 62
+
+
+class _BatchCountdown:
+    """:class:`~repro.pim.faults.GeometricCountdown` of one call class for
+    every trial of a batch: a per-trial gap (-1 until the class's next draw)
+    and the trials' own generators, drawn only where a gap is due."""
+
+    def __init__(self, rate: float, draws: Sequence[Callable[[], float]]) -> None:
+        self.rate = rate
+        self.log_miss = math.log1p(-rate) if 0.0 < rate < 1.0 else 0.0
+        self.draws = draws
+        self.gap = np.full(len(draws), -1, dtype=np.int64)
+
+    def hit(self, trials: np.ndarray) -> np.ndarray:
+        """One call of the class by each of ``trials``; returns which hit."""
+        if not self.log_miss:
+            return np.full(trials.shape[0], self.rate >= 1.0)
+        gap = self.gap[trials]
+        for index in np.flatnonzero(gap < 0):
+            gap[index] = min(
+                geometric_gap(self.draws[trials[index]](), self.log_miss), _NEVER
+            )
+        hit = gap == 0
+        self.gap[trials] = np.where(hit, -1, gap - 1)
+        return hit
+
+
+class _BurstInjection:
+    """Vectorised :class:`~repro.pim.faults.BurstFaultInjector` semantics.
+
+    Per-trial state mirrors the scalar injector exactly: ``remaining`` burst
+    flips, the operation index the burst ``expires`` at, and the gate,
+    metadata and memory countdowns over the trial's own generator.  A trial
+    inside a burst flips without drawing, so only idle trials advance their
+    output countdowns.  Bursts wrap across gate firings (and hence across
+    the row's output cells) the same way the scalar injector carries
+    ``_burst_remaining`` into later operations until the correlation window
+    expires.
+    """
+
+    def __init__(self, spec: FaultModelSpec, fault_seeds: Sequence[int]) -> None:
+        batch = len(fault_seeds)
+        draws = [random.Random(seed).random for seed in fault_seeds]
+        rate = spec.gate_error_rate or 0.0
+        self.gate = _BatchCountdown(rate, draws)
+        self.meta = _BatchCountdown(rate, draws)
+        self.memory = _BatchCountdown(spec.memory_error_rate or 0.0, draws)
+        self.burst_length = spec.burst_length
+        self.window = spec.correlation_window
+        self.remaining = np.zeros(batch, dtype=np.int64)
+        self.expires = np.full(batch, -1, dtype=np.int64)
+
+    def gate_output(self, op_index: int, is_metadata: bool) -> np.ndarray:
+        """One output cell of firing ``op_index`` in every trial; returns
+        the trials whose cell flips."""
+        in_burst = (self.remaining > 0) & (op_index <= self.expires)
+        self.remaining[in_burst] -= 1
+        idle = np.flatnonzero(~in_burst)
+        started = idle[(self.meta if is_metadata else self.gate).hit(idle)]
+        self.remaining[started] = self.burst_length - 1
+        self.expires[started] = op_index + self.window
+        in_burst[started] = True
+        return np.flatnonzero(in_burst)
 
 
 def _burst_schedule(
     soa: SoaPlan, spec: FaultModelSpec, fault_seeds: Sequence[int], batch: int
 ) -> Tuple[Dict[int, _StepEvents], np.ndarray]:
-    """Pre-play the burst state machine against zero blocks: burst flip
-    decisions are data-independent (they depend only on the per-trial
-    streams and the operation schedule), so replaying
-    :class:`_BurstInjection` yields the scalar injector's flips, which
-    become sparse events like every other schedule's."""
-    draws = 0
-    if (spec.gate_error_rate or 0.0) > 0.0:
-        draws += soa.n_gate_output_sites
-    if (spec.memory_error_rate or 0.0) > 0.0:
-        draws += int(soa.read_cols.shape[0])
+    """Pre-play the burst state machine over the tape: burst flip decisions
+    are data-independent (they depend only on the per-trial streams and the
+    operation schedule), so walking :class:`_BurstInjection` through the
+    scalar call order yields the scalar injector's flips, which become
+    sparse events like every other schedule's.  Bursts never touch presets,
+    and memory errors strike reads independently of bursts."""
     _require_seeds("burst", fault_seeds, batch)
-    burst = _BurstInjection(spec, _uniform_streams(fault_seeds, draws))
-    faults = np.zeros(batch, dtype=np.int64)
+    burst = _BurstInjection(spec, fault_seeds)
+    everyone = np.arange(batch)
     hit_trials, hit_steps, hit_lanes = [], [], []
     for index in range(soa.n_steps):
         kind = soa.step_kind[index]
         slot = soa.step_slot[index]
-        if kind == KIND_GATE:
-            n_out = int(soa.gate_out_ptr[slot + 1] - soa.gate_out_ptr[slot])
-            block = np.zeros((batch, n_out), dtype=np.uint8)
-            faults += burst.corrupt_gate_outputs(int(soa.gate_op_index[slot]), block)
-        elif kind == KIND_READ:
-            n_cells = int(soa.read_ptr[slot + 1] - soa.read_ptr[slot])
-            block = np.zeros((batch, n_cells), dtype=np.uint8)
-            faults += burst.corrupt_stored_bits(block, np.arange(n_cells))
+        if kind == KIND_GATE and burst.gate.rate > 0.0:
+            op_index = int(soa.gate_op_index[slot])
+            is_metadata = bool(soa.gate_is_metadata[slot])
+            lanes = range(int(soa.gate_out_ptr[slot + 1] - soa.gate_out_ptr[slot]))
+            flipped = [burst.gate_output(op_index, is_metadata) for _ in lanes]
+        elif kind == KIND_READ and burst.memory.rate > 0.0:
+            lanes = range(int(soa.read_ptr[slot + 1] - soa.read_ptr[slot]))
+            flipped = [everyone[burst.memory.hit(everyone)] for _ in lanes]
         else:
             continue
-        trials, lanes = np.nonzero(block)
-        if trials.shape[0]:
-            hit_trials.append(trials)
-            hit_steps.append(np.full(trials.shape[0], index))
-            hit_lanes.append(lanes)
+        for lane, trials in zip(lanes, flipped):
+            if trials.shape[0]:
+                hit_trials.append(trials)
+                hit_steps.append(np.full(trials.shape[0], index))
+                hit_lanes.append(np.full(trials.shape[0], lane))
     if not hit_trials:
-        return {}, faults
-    events = _group_events(
-        np.concatenate(hit_trials), np.concatenate(hit_steps), np.concatenate(hit_lanes)
-    )
-    return events, faults
-
-
-def _skip_sample(rng: random.Random, n_sites: int, rate: float) -> List[int]:
-    """Positions of the Bernoulli(rate) hits among ``n_sites`` iid sites,
-    via geometric gaps — exact in distribution, O(hits) draws."""
-    if rate >= 1.0:
-        return list(range(n_sites))
-    hits: List[int] = []
-    log_miss = math.log1p(-rate)
-    position = 0
-    while True:
-        gap = int(math.log1p(-rng.random()) / log_miss)
-        position += gap
-        if position >= n_sites:
-            return hits
-        hits.append(position)
-        position += 1
-
-
-def _legacy_schedule(
-    soa: SoaPlan, model: FaultModel, fault_seeds: Optional[Sequence[int]], batch: int
-) -> Tuple[Dict[int, _StepEvents], np.ndarray]:
-    """Sparse per-step flip events of the legacy stochastic model.
-
-    Each site is an independent Bernoulli at its class rate, and every
-    trial's ``random.Random(seed)`` walk depends only on its own seed, so
-    the schedule is batch-composition-invariant.  The raw streams differ
-    from the scalar engine's (the legacy-model contract: each engine owns
-    its stream discipline; declarative models are the byte-identical
-    layer).
-    """
-    faults = np.zeros(batch, dtype=np.int64)
-    classes = _fault_classes(soa, model)
-    if not classes:
-        return {}, faults
-    _require_seeds("stochastic", fault_seeds, batch)
-    walk = [(entry[0].shape[0], entry[2]) for entry in classes]
-    hits: List[Tuple[List[int], List[int]]] = [([], []) for _ in classes]
-    for trial, seed in enumerate(fault_seeds):
-        rng = random.Random(seed)
-        for (n_sites, rate), (trials, sites) in zip(walk, hits):
-            positions = _skip_sample(rng, n_sites, rate)
-            if positions:
-                faults[trial] += len(positions)
-                trials.extend([trial] * len(positions))
-                sites.extend(positions)
-    applied = [
-        (np.asarray(trials, dtype=np.int64), steps[sites], lanes[sites])
-        for (steps, lanes, _, flips), (trials, sites) in zip(classes, hits)
-        if flips and trials
-    ]
-    if not applied:
-        return {}, faults
-    trials, steps, lanes = (np.concatenate(parts) for parts in zip(*applied))
-    return _group_events(trials, steps, lanes), faults
+        return {}, np.zeros(batch, dtype=np.int64)
+    trials = np.concatenate(hit_trials)
+    events = _group_events(trials, np.concatenate(hit_steps), np.concatenate(hit_lanes))
+    return events, np.bincount(trials, minlength=batch).astype(np.int64, copy=False)
 
 
 # ---------------------------------------------------------------------- #
@@ -529,7 +540,6 @@ def _stuck_word_apply(
 def run_packed(
     soa: SoaPlan,
     input_matrix: np.ndarray,
-    model: Optional[FaultModel] = None,
     fault_seeds: Optional[Sequence[int]] = None,
     fault_plan: "Union[Sequence[Mapping[int, int]], FaultPlanArrays, None]" = None,
     fault_model: Optional[FaultModelSpec] = None,
@@ -539,20 +549,15 @@ def run_packed(
     ``input_matrix`` is a ``(B, n_inputs)`` bit matrix in ``netlist.inputs``
     order.  At most one fault source drives a batch:
 
-    * ``model`` — the legacy stochastic :class:`~repro.pim.faults.FaultModel`
-      with one ``fault_seeds`` entry per trial (geometric skip-sampling);
     * ``fault_plan`` — deterministic flips, per trial a mapping of global
       gate-operation index to the output position(s) to flip, or one
       :class:`~repro.core.faultplan.FaultPlanArrays` batch;
     * ``fault_model`` — a declarative
       :class:`~repro.pim.faults.FaultModelSpec` (stochastic / burst /
-      stuck-at), byte-identical to the scalar injectors from the same
-      per-trial seeds.
+      stuck-at), with one ``fault_seeds`` entry per trial when it draws.
 
-    Every source except stuck-at (which re-applies its stuck value at the
-    scalar injector's touch points) is first turned into sparse per-step
-    flip events; see the module docstring for which sources are
-    byte-identical across backends and which are statistically equivalent.
+    Both are byte-identical to the scalar injectors (see the module
+    docstring for how each becomes flip events).
     """
     plan = soa.plan
     matrix = np.asarray(input_matrix, dtype=np.uint8)
@@ -563,11 +568,9 @@ def run_packed(
     batch = matrix.shape[0]
     if batch == 0:
         raise ProtectionError("a batch needs at least one trial")
-    stochastic = model is not None and not model.is_error_free
-    if (fault_model is not None) + stochastic + (fault_plan is not None) > 1:
+    if fault_model is not None and fault_plan is not None:
         raise ProtectionError(
-            "a batch takes one fault source: a stochastic model, a "
-            "fault_plan or a fault_model"
+            "a batch takes one fault source: a fault_plan or a fault_model"
         )
 
     stuck: Optional[_StuckCells] = None
@@ -582,8 +585,6 @@ def run_packed(
             stuck = _StuckCells(fault_model, plan.n_cols)
         elif not fault_model.is_error_free:  # burst
             events, faults = _burst_schedule(soa, fault_model, fault_seeds, batch)
-    elif stochastic:
-        events, faults = _legacy_schedule(soa, model, fault_seeds, batch)
     elif fault_plan is not None:
         if len(fault_plan) != batch:
             raise ProtectionError("fault_plan must supply one entry per trial")

@@ -34,7 +34,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.backend import as_backend, derive_seed
 from repro.errors import EvaluationError
-from repro.pim.faults import FaultModel, FaultModelSpec
+from repro.pim.faults import FaultModelSpec
 
 __all__ = [
     "binomial_tail",
@@ -134,7 +134,6 @@ def monte_carlo_coverage(
     gate_error_rate: float,
     trials: int = 50,
     seed: int = 0,
-    model: Optional[FaultModel] = None,
     fault_model: Optional[FaultModelSpec] = None,
 ) -> MonteCarloCoverage:
     """Monte-Carlo fault injection over whole executions.
@@ -147,17 +146,14 @@ def monte_carlo_coverage(
     through SHA-256 (:func:`~repro.core.backend.derive_seed`) as independent
     named streams, so a coverage run is reproducible from the single ``seed``
     on either backend, and trial *i*'s randomness never depends on how much
-    entropy earlier trials consumed.  ``model`` overrides the fault model
-    (defaults to gate errors only, at ``gate_error_rate``); ``fault_model``
-    instead runs the declarative fault-model layer
+    entropy earlier trials consumed.  ``fault_model`` picks the fault model
     (:class:`~repro.pim.faults.FaultModelSpec`: stochastic / burst /
-    stuck-at, with an unset gate rate inheriting ``gate_error_rate``) and is
-    byte-identical across backends.
+    stuck-at, with an unset gate rate inheriting ``gate_error_rate``); it
+    defaults to gate errors only, at ``gate_error_rate``.  Either way the
+    run is byte-identical across backends.
     """
     if trials <= 0:
         raise EvaluationError("trials must be positive")
-    if model is not None and fault_model is not None:
-        raise EvaluationError("pass either model or fault_model, not both")
     backend = as_backend(target)
     input_rows = [
         make_inputs(random.Random(derive_seed(seed, "coverage", trial, "inputs")))
@@ -166,17 +162,14 @@ def monte_carlo_coverage(
     fault_seeds = [
         derive_seed(seed, "coverage", trial, "faults") for trial in range(trials)
     ]
-    if fault_model is not None:
-        fault_model = fault_model.resolved(gate_error_rate=gate_error_rate)
-        outcomes = backend.run_trials(
-            input_rows,
-            fault_model=fault_model,
-            fault_seeds=fault_seeds if fault_model.needs_seeds else None,
-        )
-    else:
-        if model is None:
-            model = FaultModel(gate_error_rate=gate_error_rate)
-        outcomes = backend.run_trials(input_rows, model=model, fault_seeds=fault_seeds)
+    if fault_model is None:
+        fault_model = FaultModelSpec.stochastic()
+    fault_model = fault_model.resolved(gate_error_rate=gate_error_rate)
+    outcomes = backend.run_trials(
+        input_rows,
+        fault_model=fault_model,
+        fault_seeds=fault_seeds if fault_model.needs_seeds else None,
+    )
     return MonteCarloCoverage(
         trials=outcomes.n_trials,
         correct_runs=int(outcomes.outputs_correct.sum()),

@@ -25,12 +25,13 @@ dense index/metadata buffers per step kind:
   ``lut[offset + packed_syndrome]``;
 * the **TRiM tape**: CSR data column lists plus the redundant-copy column
   groups and copy counts per vote;
-* the **stochastic site tables** — for each of the four structural fault
-  classes (gate outputs, metadata outputs, preset-step cells, read cells) a
-  flat enumeration of every injectable site in tape order, mapping a class
-  position to its (tape step, lane).  These are what lets a sparse sampler
-  (e.g. geometric skip sampling over ~10^3 Bernoulli sites) land its hits on
-  the right step without replaying the tape.
+* the **fault-stream site tables** (:class:`SiteClass`) — for each of the
+  four injector call classes (gate outputs, metadata outputs, presets,
+  reads) every call of one execution in scalar call order, with its (tape
+  step, lane) and its rank among all calls.  These are what lets the
+  skip-sampled fault stream (:mod:`repro.core.bitpacked`) land its hits on
+  the right step, and merge the classes' draws in the scalar injector's
+  order, without replaying the tape.
 
 Lowering is pure bookkeeping: the SoA plan references the original
 :class:`ExecutionPlan` (``soa.plan``) for netlist/layout metadata, and every
@@ -62,6 +63,7 @@ __all__ = [
     "KIND_READ",
     "KIND_ECIM",
     "KIND_TRIM",
+    "SiteClass",
     "SoaPlan",
     "lower_plan",
 ]
@@ -96,6 +98,29 @@ def _table_key(step: GateStep) -> Tuple[str, int, Optional[int]]:
     if step.gate == GateType.THR:
         return (step.gate, n_inputs, 3 if step.threshold is None else int(step.threshold))
     return (step.gate, n_inputs, None)
+
+
+@dataclass(eq=False, frozen=True)
+class SiteClass:
+    """Every call of one injector call class in one execution, in scalar
+    call order.
+
+    ``step`` and ``lane`` place a call on the tape (the lane indexes the
+    step's own column list: gate output position, preset or read column
+    position).  ``call`` is its rank among *all* injector calls of the
+    execution — the key that merges the classes' draws into one stream.
+    ``applied`` is False where a hit only counts: a preset on a gate output
+    is overwritten by the firing itself.
+    """
+
+    step: np.ndarray     # (n,) int32
+    lane: np.ndarray     # (n,) int32
+    call: np.ndarray     # (n,) int32, increasing
+    applied: np.ndarray  # (n,) bool
+
+    @property
+    def size(self) -> int:
+        return int(self.step.shape[0])
 
 
 @dataclass(eq=False, frozen=True)
@@ -147,17 +172,11 @@ class SoaPlan:
     trim_copy_groups: Tuple[Tuple[np.ndarray, ...], ...]
     trim_n_copies: np.ndarray             # (n_checks,) int64
 
-    # Stochastic site tables: class position → (tape step index, lane), in
-    # tape order.  Lanes index the step's own column list (gate output
-    # position, preset/read column position).
-    gate_site_step: np.ndarray
-    gate_site_lane: np.ndarray
-    meta_site_step: np.ndarray
-    meta_site_lane: np.ndarray
-    preset_site_step: np.ndarray
-    preset_site_lane: np.ndarray
-    read_site_step: np.ndarray
-    read_site_lane: np.ndarray
+    # Fault-stream site tables, one per injector call class.
+    gate_sites: SiteClass
+    meta_sites: SiteClass
+    preset_sites: SiteClass  # gate-output presets and preset-step cells
+    read_sites: SiteClass
     #: Inverse gate maps for array-native deterministic plans
     #: (:mod:`repro.core.faultplan`): tape step index of each gate slot,
     #: and gate slot of each global operation index (-1 for indices no
@@ -165,13 +184,15 @@ class SoaPlan:
     #: path).
     gate_step_index: np.ndarray   # (n_gates,) intp
     gate_slot_of_op: np.ndarray   # (max_op + 1,) intp, -1 padded
-    #: Total gate-output cells (metadata included) — the site count of the
-    #: count-only preset-on-gate-output fault class.
-    n_gate_output_sites: int
 
     # ------------------------------------------------------------------ #
     # Plan metadata passthrough
     # ------------------------------------------------------------------ #
+    @property
+    def n_gate_output_sites(self) -> int:
+        """Gate-output cells of one execution, metadata included."""
+        return self.gate_sites.size + self.meta_sites.size
+
     @property
     def n_steps(self) -> int:
         return int(self.step_kind.shape[0])
@@ -193,6 +214,71 @@ class SoaPlan:
         return self.plan.n_outputs
 
 
+def _site_class(step, lane, call, applied=None) -> SiteClass:
+    """Freeze one class's columns (int32: the tables of the biggest plans
+    run to ~10^5 sites per worker); every hit applies unless ``applied``
+    says otherwise."""
+    if applied is None:
+        applied = np.ones(step.shape[0], dtype=bool)
+    return SiteClass(
+        step=_frozen(step.astype(np.int32)),
+        lane=_frozen(lane.astype(np.int32)),
+        call=_frozen(call.astype(np.int32)),
+        applied=_frozen(applied),
+    )
+
+
+def _site_classes(
+    kinds: np.ndarray,
+    slots: np.ndarray,
+    gate_is_metadata: np.ndarray,
+    gate_out_ptr: np.ndarray,
+    preset_ptr: np.ndarray,
+    read_ptr: np.ndarray,
+) -> Tuple[SiteClass, SiteClass, SiteClass, SiteClass]:
+    """The four injector call classes of one execution, in scalar call
+    order: every gate firing presets its outputs and then produces them,
+    and every preset or read step touches its cells in column order."""
+    gate, preset, read = kinds == KIND_GATE, kinds == KIND_PRESET, kinds == KIND_READ
+    width = np.zeros(kinds.shape[0], dtype=np.int64)
+    width[gate] = np.diff(gate_out_ptr)[slots[gate]]
+    width[preset] = np.diff(preset_ptr)[slots[preset]]
+    width[read] = np.diff(read_ptr)[slots[read]]
+    calls = np.where(gate, 2 * width, width)
+    first_call = np.cumsum(calls) - calls
+
+    def cells(mask):
+        steps = np.flatnonzero(mask)
+        counts = width[steps]
+        step = np.repeat(steps, counts)
+        lane = np.arange(step.shape[0]) - np.repeat(np.cumsum(counts) - counts, counts)
+        return step, lane
+
+    out_step, out_lane = cells(gate)
+    out_call = first_call[out_step] + width[out_step] + out_lane
+    is_meta = np.repeat(gate_is_metadata, np.diff(gate_out_ptr))
+    cell_step, cell_lane = cells(preset)
+    read_step, read_lane = cells(read)
+    # Presets on gate outputs (count-only: the firing overwrites them) and
+    # preset-step cells form one class; call ranks are unique, so sorting
+    # by them interleaves the two in tape order.
+    preset_step = np.concatenate((out_step, cell_step))
+    preset_lane = np.concatenate((out_lane, cell_lane))
+    preset_call = np.concatenate(
+        (first_call[out_step] + out_lane, first_call[cell_step] + cell_lane)
+    )
+    preset_applied = np.arange(preset_step.shape[0]) >= out_step.shape[0]
+    order = np.argsort(preset_call)
+    return (
+        _site_class(out_step[~is_meta], out_lane[~is_meta], out_call[~is_meta]),
+        _site_class(out_step[is_meta], out_lane[is_meta], out_call[is_meta]),
+        _site_class(
+            preset_step[order], preset_lane[order], preset_call[order], preset_applied[order]
+        ),
+        _site_class(read_step, read_lane, first_call[read_step] + read_lane),
+    )
+
+
 def lower_plan(plan: ExecutionPlan) -> SoaPlan:
     """Lower one compiled instruction tape into its SoA form."""
     kinds, slots = [], []
@@ -204,10 +290,7 @@ def lower_plan(plan: ExecutionPlan) -> SoaPlan:
     ecim_data, ecim_parity, ecim_a_t, ecim_weights, ecim_luts = [], [], [], [], []
     trim_data, trim_groups, trim_copies = [], [], []
 
-    gate_sites, meta_sites, preset_sites, read_sites = [], [], [], []
-    n_gate_output_sites = 0
-
-    for index, step in enumerate(plan.steps):
+    for step in plan.steps:
         if isinstance(step, GateStep):
             kinds.append(KIND_GATE)
             slots.append(len(gate_table_id))
@@ -219,24 +302,15 @@ def lower_plan(plan: ExecutionPlan) -> SoaPlan:
             gate_names.append(step.gate)
             gate_ins.append(step.input_cols)
             gate_outs.append(step.output_cols)
-            n_out = int(step.output_cols.shape[0])
-            sites = meta_sites if step.is_metadata else gate_sites
-            for lane in range(n_out):
-                sites.append((index, lane))
-            n_gate_output_sites += n_out
         elif isinstance(step, PresetStep):
             kinds.append(KIND_PRESET)
             slots.append(len(preset_values))
             preset_values.append(step.value)
             preset_chunks.append(step.columns)
-            for lane in range(int(step.columns.shape[0])):
-                preset_sites.append((index, lane))
         elif isinstance(step, ReadStep):
             kinds.append(KIND_READ)
             slots.append(len(read_chunks))
             read_chunks.append(step.columns)
-            for lane in range(int(step.columns.shape[0])):
-                read_sites.append((index, lane))
         elif isinstance(step, EcimCheckStep):
             kinds.append(KIND_ECIM)
             slots.append(len(ecim_data))
@@ -275,23 +349,14 @@ def lower_plan(plan: ExecutionPlan) -> SoaPlan:
         ecim_lut[row:row + lut.shape[0], : lut.shape[1]] = lut
         row += lut.shape[0]
 
-    def site_arrays(sites):
-        if not sites:
-            return _frozen(np.zeros(0, dtype=np.intp)), _frozen(np.zeros(0, dtype=np.intp))
-        steps_, lanes = zip(*sites)
-        return (
-            _frozen(np.asarray(steps_, dtype=np.intp)),
-            _frozen(np.asarray(lanes, dtype=np.intp)),
-        )
-
-    gate_site_step, gate_site_lane = site_arrays(gate_sites)
-    meta_site_step, meta_site_lane = site_arrays(meta_sites)
-    preset_site_step, preset_site_lane = site_arrays(preset_sites)
-    read_site_step, read_site_lane = site_arrays(read_sites)
-
     # Inverse gate maps: slots were appended in tape order, so gate slot s
     # is the s-th KIND_GATE step of the dispatch array.
     kind_array = np.asarray(kinds, dtype=np.int8)
+    slot_array = np.asarray(slots, dtype=np.intp)
+    gate_meta_array = np.asarray(gate_meta, dtype=bool)
+    gate_sites, meta_sites, preset_sites, read_sites = _site_classes(
+        kind_array, slot_array, gate_meta_array, gate_out_ptr, preset_ptr, read_ptr
+    )
     gate_step_index = np.flatnonzero(kind_array == KIND_GATE).astype(np.intp)
     op_array = np.asarray(gate_op, dtype=np.int64)
     slot_of_op = np.full(
@@ -302,12 +367,12 @@ def lower_plan(plan: ExecutionPlan) -> SoaPlan:
 
     return SoaPlan(
         plan=plan,
-        step_kind=_frozen(np.asarray(kinds, dtype=np.int8)),
-        step_slot=_frozen(np.asarray(slots, dtype=np.intp)),
+        step_kind=_frozen(kind_array),
+        step_slot=_frozen(slot_array),
         tables=tuple(tables),
         gate_table_id=_frozen(np.asarray(gate_table_id, dtype=np.intp)),
         gate_op_index=_frozen(np.asarray(gate_op, dtype=np.int64)),
-        gate_is_metadata=_frozen(np.asarray(gate_meta, dtype=bool)),
+        gate_is_metadata=_frozen(gate_meta_array),
         gate_logic_level=_frozen(np.asarray(gate_level, dtype=np.int64)),
         gate_names=tuple(gate_names),
         gate_in_ptr=gate_in_ptr,
@@ -331,15 +396,10 @@ def lower_plan(plan: ExecutionPlan) -> SoaPlan:
         trim_data_cols=trim_data_cols,
         trim_copy_groups=tuple(trim_groups),
         trim_n_copies=_frozen(np.asarray(trim_copies, dtype=np.int64)),
-        gate_site_step=gate_site_step,
-        gate_site_lane=gate_site_lane,
-        meta_site_step=meta_site_step,
-        meta_site_lane=meta_site_lane,
-        preset_site_step=preset_site_step,
-        preset_site_lane=preset_site_lane,
-        read_site_step=read_site_step,
-        read_site_lane=read_site_lane,
+        gate_sites=gate_sites,
+        meta_sites=meta_sites,
+        preset_sites=preset_sites,
+        read_sites=read_sites,
         gate_step_index=_frozen(gate_step_index),
         gate_slot_of_op=_frozen(slot_of_op),
-        n_gate_output_sites=n_gate_output_sites,
     )

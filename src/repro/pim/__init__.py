@@ -35,7 +35,6 @@ from repro.pim.faults import (
     FaultModel,
     FaultModelSpec,
     NoFaultInjector,
-    PhiloxRandom,
     StochasticFaultInjector,
     StuckAtFaultInjector,
     parse_fault_model,
@@ -144,7 +143,6 @@ __all__ = [
     "FaultModelSpec",
     "FAULT_MODEL_KINDS",
     "parse_fault_model",
-    "PhiloxRandom",
     "FaultInjector",
     "NoFaultInjector",
     "StochasticFaultInjector",

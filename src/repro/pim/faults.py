@@ -19,10 +19,21 @@ with probability ``memory_error_rate``.  A deterministic injector targets a
 specific operation index / cell for the exhaustive SEP case analysis of
 Fig. 6, and a correlation-aware injector models the spatially / temporally
 correlated bursts discussed in Section IV-E.
+
+The fault stream (RNG contract 2): one ``random.Random(fault_seed)`` per
+trial, and one lazy :class:`GeometricCountdown` per injector call class —
+gate output, metadata output, preset and stored-bit read.  Each class draws
+a geometric gap at its first call and at its first call after each hit, so
+a trial consumes O(hits) uniforms however many sites it has.  The burst
+injector reuses the gate and metadata countdowns on outputs outside a burst
+(continuation flips draw nothing), so a burst of length 1 is the stochastic
+model.  The bit-packed engine replays this stream byte for byte
+(:mod:`repro.core.bitpacked`).
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Tuple, Union
@@ -43,7 +54,8 @@ __all__ = [
     "BurstFaultInjector",
     "StuckAtFaultInjector",
     "FaultLog",
-    "PhiloxRandom",
+    "geometric_gap",
+    "GeometricCountdown",
     "SeedLike",
     "normalize_flip_positions",
     "resolve_rng",
@@ -69,43 +81,47 @@ def resolve_rng(seed: SeedLike) -> random.Random:
     return random.Random(seed)
 
 
-class PhiloxRandom(random.Random):
-    """A ``random.Random`` facade over a counter-based ``numpy`` Philox stream.
+def geometric_gap(uniform: float, log_miss: float) -> int:
+    """Misses before the next hit of a run of Bernoulli sites, from one
+    uniform draw ``u``: ``floor(log1p(-u) / log1p(-rate))`` is geometric with
+    ``P(gap >= k) = (1 - rate) ** k``.  ``log_miss`` is ``log1p(-rate)``.
 
-    The bit-packed tape engine draws each trial's fault stream from
-    ``numpy.random.Generator(numpy.random.Philox(key=seed))`` in tape order.
-    Handing a scalar injector a ``PhiloxRandom(seed)`` makes it consume the
-    *identical* uniform sequence (``Generator.random(n)`` equals ``n``
-    successive ``Generator.random()`` calls), which is what lets the unified
-    fault-model layer produce byte-identical trial outcomes on both backends
-    from one shared trial seed.
+    The one gap formula of the fault stream: the scalar
+    :class:`GeometricCountdown` and the bit-packed engine's replay both call
+    it, so they land hits on the same calls.
+    """
+    return int(math.log1p(-uniform) / log_miss)
 
-    Only :meth:`random` and :meth:`getrandbits` are rebased onto the Philox
-    stream; the injectors consume nothing else.
+
+class GeometricCountdown:
+    """Bernoulli(``rate``) hits of one injector call class, skip-sampled.
+
+    The class draws a geometric gap (:func:`geometric_gap`) from the shared
+    generator at its first call and again at its first call after each hit;
+    a call hits when the gap is 0 and otherwise decrements it.  Every call is
+    an independent Bernoulli(``rate``) trial, yet the generator is consumed
+    once per hit rather than once per call.  Rate 0 never draws; rate >= 1
+    hits every call without drawing.
     """
 
-    def __init__(self, seed: int) -> None:
-        import numpy as np
+    __slots__ = ("_random", "_rate", "_log_miss", "_gap")
 
-        self._generator = np.random.Generator(np.random.Philox(key=int(seed)))
-        super().__init__(0)
+    def __init__(self, rng: random.Random, rate: float) -> None:
+        self._random = rng.random
+        self._rate = rate
+        self._log_miss = math.log1p(-rate) if 0.0 < rate < 1.0 else 0.0
+        self._gap = -1
 
-    def random(self) -> float:  # noqa: A003 - mirrors random.Random.random
-        return float(self._generator.random())
-
-    def getrandbits(self, k: int) -> int:
-        if k < 0:
-            raise ValueError("number of bits must be non-negative")
-        if k == 0:
-            return 0
-        n_bytes = (k + 7) // 8
-        raw = int.from_bytes(self._generator.bytes(n_bytes), "little")
-        return raw >> (n_bytes * 8 - k)
-
-    def seed(self, *args, **kwargs) -> None:  # noqa: D102 - facade
-        # random.Random.__init__ seeds the (unused) Mersenne state; the
-        # Philox stream itself is keyed once, at construction.
-        super().seed(0)
+    def hit(self) -> bool:
+        if self._gap < 0:
+            if not self._log_miss:
+                return self._rate >= 1.0
+            self._gap = geometric_gap(self._random(), self._log_miss)
+        if self._gap:
+            self._gap -= 1
+            return False
+        self._gap = -1
+        return True
 
 
 def normalize_flip_positions(positions: object) -> frozenset:
@@ -280,10 +296,10 @@ class FaultModelSpec:
     masquerade as 100% coverage.
 
     Equivalence contract: for one spec and one per-trial seed, the scalar
-    injector built by :meth:`make_injector` (Philox-backed via
-    :class:`PhiloxRandom`) and the tape engine's per-trial Philox
-    stream consume identical uniform draws in identical order, so trial
-    outcomes are **byte-identical** across backends — the property
+    injector built by :meth:`make_injector` and the tape engine walk the
+    same fault stream — one ``random.Random(seed)`` shared by per-class
+    :class:`GeometricCountdown` gaps, drawn in scalar call order — so trial
+    outcomes are **byte-identical** across backends, the property
     ``tests/differential`` enforces for every kind.
     """
 
@@ -437,7 +453,7 @@ class FaultModelSpec:
 
     def rate_model(self) -> FaultModel:
         """The spec's Bernoulli rates as a plain :class:`FaultModel` — the
-        tape engine's draw schedule.  ``None`` gate/memory/preset
+        per-class countdown rates.  ``None`` gate/memory/preset
         rates read as 0.0; a ``None`` metadata rate is passed through, where
         :class:`FaultModel` makes it inherit the gate rate (the scalar
         injector's semantics, which the tape engine must mirror
@@ -471,27 +487,22 @@ class FaultModelSpec:
     def make_injector(
         self, seed: Optional[int] = None, log: Optional[FaultLog] = None
     ) -> FaultInjector:
-        """Build the scalar injector realising this model for one trial.
-
-        Stochastic and burst injectors are handed a :class:`PhiloxRandom`
-        keyed by ``seed`` — the same counter-based stream the tape
-        engine derives from the same trial seed, which is what makes
-        the two backends byte-identical under this layer.
-        """
+        """Build the scalar injector realising this model for one trial,
+        seeded with the trial's fault seed (the stream the tape engine
+        replays from the same seed)."""
         if self.kind == "stuck-at":
             return StuckAtFaultInjector(self.stuck_cells(), log=log)
         if self.needs_seeds and seed is None:
             raise PimError(f"a {self.kind} fault model needs a per-trial seed")
-        rng = PhiloxRandom(seed) if seed is not None else None
         if self.kind == "burst":
             return BurstFaultInjector(
                 self.rate_model(),
                 burst_length=self.burst_length,
                 correlation_window=self.correlation_window,
-                seed=rng,
+                seed=seed,
                 log=log,
             )
-        return StochasticFaultInjector(self.rate_model(), seed=rng, log=log)
+        return StochasticFaultInjector(self.rate_model(), seed=seed, log=log)
 
     # ------------------------------------------------------------------ #
     # Serialisation (campaign spec field / CLI flag)
@@ -671,7 +682,13 @@ class NoFaultInjector(FaultInjector):
 
 
 class StochasticFaultInjector(FaultInjector):
-    """Uniformly distributed, independent bit flips per the paper's model."""
+    """Uniformly distributed, independent bit flips per the paper's model.
+
+    Each injector call class — gate outputs, metadata outputs, presets and
+    stored-bit reads — runs its own :class:`GeometricCountdown` at its rate
+    over one shared generator: the fault stream the bit-packed engine
+    replays byte for byte from the same seed.
+    """
 
     def __init__(
         self,
@@ -681,26 +698,25 @@ class StochasticFaultInjector(FaultInjector):
     ) -> None:
         super().__init__(log)
         self.model = model
-        self._rng = resolve_rng(seed)
+        rng = resolve_rng(seed)
+        self._gate = GeometricCountdown(rng, model.gate_error_rate)
+        self._metadata = GeometricCountdown(rng, model.effective_metadata_error_rate)
+        self._preset = GeometricCountdown(rng, model.preset_error_rate)
+        self._memory = GeometricCountdown(rng, model.memory_error_rate)
 
     def corrupt_gate_output(self, value, site, operation_index, is_metadata=False):
-        rate = (
-            self.model.effective_metadata_error_rate
-            if is_metadata
-            else self.model.gate_error_rate
-        )
-        if rate > 0.0 and self._rng.random() < rate:
+        if (self._metadata if is_metadata else self._gate).hit():
             kind = FaultKind.METADATA if is_metadata else FaultKind.LOGIC
             return self._flip(kind, value, site, operation_index)
         return value
 
     def corrupt_stored_bit(self, value, site):
-        if self.model.memory_error_rate > 0.0 and self._rng.random() < self.model.memory_error_rate:
+        if self._memory.hit():
             return self._flip(FaultKind.MEMORY, value, site, None)
         return value
 
     def corrupt_preset(self, value, site, operation_index):
-        if self.model.preset_error_rate > 0.0 and self._rng.random() < self.model.preset_error_rate:
+        if self._preset.hit():
             return self._flip(FaultKind.PRESET, value, site, operation_index)
         return value
 
@@ -789,25 +805,29 @@ class BurstFaultInjector(FaultInjector):
         self.model = model
         self.burst_length = burst_length
         self.correlation_window = correlation_window
-        self._rng = resolve_rng(seed)
+        rng = resolve_rng(seed)
+        # The stochastic injector's gate, metadata and memory countdowns,
+        # both output classes at the burst-trigger rate.
+        self._gate = GeometricCountdown(rng, model.gate_error_rate)
+        self._metadata = GeometricCountdown(rng, model.gate_error_rate)
+        self._memory = GeometricCountdown(rng, model.memory_error_rate)
         self._burst_remaining = 0
         self._burst_expires_at = -1
 
     def corrupt_gate_output(self, value, site, operation_index, is_metadata=False):
+        kind = FaultKind.METADATA if is_metadata else FaultKind.LOGIC
         if self._burst_remaining > 0 and operation_index <= self._burst_expires_at:
+            # Continuation flips consume nothing from the stream.
             self._burst_remaining -= 1
-            kind = FaultKind.METADATA if is_metadata else FaultKind.LOGIC
             return self._flip(kind, value, site, operation_index)
-        rate = self.model.gate_error_rate
-        if rate > 0.0 and self._rng.random() < rate:
+        if (self._metadata if is_metadata else self._gate).hit():
             self._burst_remaining = self.burst_length - 1
             self._burst_expires_at = operation_index + self.correlation_window
-            kind = FaultKind.METADATA if is_metadata else FaultKind.LOGIC
             return self._flip(kind, value, site, operation_index)
         return value
 
     def corrupt_stored_bit(self, value, site):
-        if self.model.memory_error_rate > 0.0 and self._rng.random() < self.model.memory_error_rate:
+        if self._memory.hit():
             return self._flip(FaultKind.MEMORY, value, site, None)
         return value
 

@@ -120,10 +120,11 @@ def _in_clause(column: str, values: Sequence[str], where: List[str], params: Lis
 def _fault_model_clause(values: Sequence[str], where: List[str], params: List[object]) -> None:
     """Match canonical fault-model strings.
 
-    Each value is either ``none`` (the legacy independent-flip model, stored
-    as NULL), a full model string (canonicalised before matching, so
-    ``stuck-at:cells=7+3`` and ``stuckat:cells=3+7,value=0`` hit the same
-    rows), or a bare kind (``burst``) matching every parameterisation.
+    Each value is either ``none`` (no fault model set: the default
+    stochastic model, stored as NULL), a full model string (canonicalised
+    before matching, so ``stuck-at:cells=7+3`` and
+    ``stuckat:cells=3+7,value=0`` hit the same rows), or a bare kind
+    (``burst``) matching every parameterisation.
     """
     if not values:
         return

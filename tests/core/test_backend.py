@@ -128,21 +128,25 @@ class TestRunTrialsSurface:
     def test_stochastic_model_requires_per_trial_seeds(self, name):
         backend = make_backend(name, AND2, "ecim")
         with pytest.raises(ProtectionError):
-            backend.run_trials([AND2_INPUTS], model=FaultModel(gate_error_rate=0.1))
+            backend.run_trials(
+                [AND2_INPUTS], fault_model=FaultModelSpec.stochastic(gate_error_rate=0.1)
+            )
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
     def test_fault_seeds_without_model_rejected(self, name):
-        # A forgotten model= kwarg must not silently run fault-free.
+        # A forgotten fault_model= kwarg must not silently run fault-free.
         backend = make_backend(name, AND2, "ecim")
         with pytest.raises(ProtectionError):
             backend.run_trials([AND2_INPUTS], fault_seeds=[1])
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
-    def test_error_free_model_with_seeds_is_allowed(self, name):
-        # The zero-rate point of a coverage sweep passes seeds alongside an
-        # all-zero model; that stays valid (and fault free).
+    def test_error_free_model_runs_without_seeds(self, name):
+        # The zero-rate point of a coverage sweep passes an all-zero model
+        # and no seeds; that stays valid (and fault free).
         backend = make_backend(name, AND2, "ecim")
-        outcomes = backend.run_trials([AND2_INPUTS], model=FaultModel(), fault_seeds=[1])
+        outcomes = backend.run_trials(
+            [AND2_INPUTS], fault_model=FaultModelSpec.stochastic(0.0, 0.0)
+        )
         assert outcomes.faults_injected.sum() == 0
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
@@ -152,7 +156,7 @@ class TestRunTrialsSurface:
             backend.run_trials(
                 [AND2_INPUTS],
                 fault_plan=[{0: 0}],
-                model=FaultModel(gate_error_rate=0.1),
+                fault_model=FaultModelSpec.stochastic(gate_error_rate=0.1),
                 fault_seeds=[1],
             )
 
@@ -190,13 +194,14 @@ class TestFaultModelSurface:
             )
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
-    def test_fault_model_exclusive_with_stochastic_model(self, name):
+    def test_legacy_model_keyword_is_gone(self, name):
+        # One fault source vocabulary: the stochastic model is a
+        # FaultModelSpec like every other, not a separate model= argument.
         backend = make_backend(name, AND2, "ecim")
-        with pytest.raises(ProtectionError):
+        with pytest.raises(TypeError):
             backend.run_trials(
                 [AND2_INPUTS],
                 model=FaultModel(gate_error_rate=0.1),
-                fault_model=FaultModelSpec.stochastic(0.1),
                 fault_seeds=[1],
             )
 
@@ -266,15 +271,21 @@ class TestFaultModelSurface:
 class TestStochasticEquivalence:
     def test_fixed_seeds_reproduce_on_both_backends(self):
         netlist = get_campaign_workload("dot2").netlist
-        model = FaultModel(gate_error_rate=5e-3)
+        model = FaultModelSpec.stochastic(gate_error_rate=5e-3, memory_error_rate=0.0)
         seeds = [derive_seed(3, t, "faults") for t in range(50)]
         rows = [sample_inputs(netlist, __import__("random").Random(t)) for t in range(50)]
+        runs = []
         for name in BACKEND_NAMES:
             backend = make_backend(name, netlist, "ecim")
-            first = backend.run_trials(rows, model=model, fault_seeds=seeds)
-            again = backend.run_trials(rows, model=model, fault_seeds=seeds)
+            first = backend.run_trials(rows, fault_model=model, fault_seeds=seeds)
+            again = backend.run_trials(rows, fault_model=model, fault_seeds=seeds)
             assert first.counts() == again.counts()
             assert np.array_equal(first.faults_injected, again.faults_injected)
+            runs.append(first)
+        # One fault stream: the backends agree trial for trial, not just
+        # in distribution.
+        assert np.array_equal(runs[0].faults_injected, runs[1].faults_injected)
+        assert runs[0].counts() == runs[1].counts()
 
     def test_protocol_is_abstract(self):
         with pytest.raises(TypeError):

@@ -22,7 +22,7 @@ from repro.core.batched import compile_plan, sample_input_matrix
 from repro.core.bitpacked import bitpacked_golden_outputs, pack_trials, run_packed
 from repro.core.executor import EcimExecutor, TrimExecutor, UnprotectedExecutor
 from repro.errors import ProtectionError
-from repro.pim.faults import DeterministicFaultInjector, FaultModel
+from repro.pim.faults import DeterministicFaultInjector, FaultModelSpec
 from repro.core.soa import lower_plan
 from repro.pim.operations import NullTrace
 
@@ -33,10 +33,14 @@ EXECUTORS = {
 }
 
 
-def run_tape(plan, matrix, model=None, fault_seeds=None, fault_plan=None):
+def run_tape(plan, matrix, fault_model=None, fault_seeds=None, fault_plan=None):
     """Interpret a compiled tape on the bit-packed engine."""
     return run_packed(
-        lower_plan(plan), matrix, model=model, fault_seeds=fault_seeds, fault_plan=fault_plan
+        lower_plan(plan),
+        matrix,
+        fault_seeds=fault_seeds,
+        fault_plan=fault_plan,
+        fault_model=fault_model,
     )
 
 
@@ -161,7 +165,7 @@ class TestStochasticDeterminism:
 
     def test_same_seeds_same_outcomes(self):
         plan, matrix, fault_seeds = self._spec(50)
-        model = FaultModel(gate_error_rate=1e-2)
+        model = FaultModelSpec.stochastic(gate_error_rate=1e-2)
         first = run_tape(plan, matrix, model, fault_seeds)
         second = run_tape(plan, matrix, model, fault_seeds)
         assert np.array_equal(first.outputs, second.outputs)
@@ -172,7 +176,7 @@ class TestStochasticDeterminism:
         # A trial's fault stream is keyed by its own seed, so splitting the
         # batch differently must not change any per-trial outcome.
         plan, matrix, fault_seeds = self._spec(40)
-        model = FaultModel(gate_error_rate=1e-2, memory_error_rate=1e-3)
+        model = FaultModelSpec.stochastic(gate_error_rate=1e-2, memory_error_rate=1e-3)
         whole = run_tape(plan, matrix, model, fault_seeds)
         split_at = 13
         front = run_tape(plan, matrix[:split_at], model, fault_seeds[:split_at])
@@ -186,7 +190,7 @@ class TestStochasticDeterminism:
 
     def test_different_seeds_differ(self):
         plan, matrix, fault_seeds = self._spec(60)
-        model = FaultModel(gate_error_rate=1e-2)
+        model = FaultModelSpec.stochastic(gate_error_rate=1e-2)
         a = run_tape(plan, matrix, model, fault_seeds)
         b = run_tape(plan, matrix, model, [s + 10_000 for s in fault_seeds])
         assert not np.array_equal(a.faults_injected, b.faults_injected)
@@ -208,7 +212,11 @@ class TestValidation:
         netlist = get_campaign_workload("and2").netlist
         plan = compile_plan(netlist, "unprotected")
         with pytest.raises(ProtectionError):
-            run_tape(plan, np.zeros((4, 2), dtype=np.uint8), FaultModel(gate_error_rate=0.1))
+            run_tape(
+                plan,
+                np.zeros((4, 2), dtype=np.uint8),
+                FaultModelSpec.stochastic(gate_error_rate=0.1),
+            )
 
     def test_empty_batch_rejected(self):
         netlist = get_campaign_workload("and2").netlist

@@ -4,9 +4,9 @@ gate semantics, and cross-backend byte-identity on ragged batches.
 The systematic cross-backend grid lives in ``tests/differential/``; this
 module owns the engine-local properties that grid cannot see — the
 pack/unpack transposition contract (tail lanes of ragged batches, packed
-XOR vs uint8 XOR), the SoA lowering invariants, and the legacy
-skip-sampling stream discipline (reproducible, batch-composition-invariant,
-statistically faithful).
+XOR vs uint8 XOR), the SoA lowering invariants, and the skip-sampled
+fault stream's engine-local properties (reproducible,
+batch-composition-invariant, statistically faithful).
 """
 
 import numpy as np
@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from repro.campaign.workloads import get_campaign_workload
 from repro.core.backend import BitpackedBackend, derive_seed, make_backend
 from repro.core.batched import compile_plan, sample_input_matrix
-from repro.core import bitpacked as bitpacked_module
 from repro.core.bitpacked import (
     WORD_BITS,
     _gate_words,
@@ -36,7 +35,7 @@ from repro.core.soa import (
     lower_plan,
 )
 from repro.errors import ProtectionError
-from repro.pim.faults import FaultModel, FaultModelSpec
+from repro.pim.faults import FaultModelSpec
 from repro.pim.vector import truth_table
 
 OUTCOME_FIELDS = (
@@ -207,12 +206,21 @@ class TestSoaLowering:
     def test_site_tables_partition_gate_outputs(self, soa):
         total_outputs = int(soa.gate_out_ptr[-1])
         assert soa.n_gate_output_sites == total_outputs
-        assert (
-            soa.gate_site_step.shape[0] + soa.meta_site_step.shape[0]
-            == total_outputs
-        )
-        assert soa.preset_site_step.shape[0] == int(soa.preset_ptr[-1])
-        assert soa.read_site_step.shape[0] == int(soa.read_ptr[-1])
+        assert soa.gate_sites.size + soa.meta_sites.size == total_outputs
+        # The preset class: one count-only preset per gate output, plus the
+        # state-changing preset-step cells.
+        assert soa.preset_sites.size == total_outputs + int(soa.preset_ptr[-1])
+        assert int((~soa.preset_sites.applied).sum()) == total_outputs
+        assert soa.read_sites.size == int(soa.read_ptr[-1])
+
+    def test_call_ranks_order_every_injector_call(self, soa):
+        # The merge key: each class is in call order, and the four classes
+        # together number every injector call of one execution exactly once.
+        classes = (soa.gate_sites, soa.meta_sites, soa.preset_sites, soa.read_sites)
+        for sites in classes:
+            assert np.all(np.diff(sites.call) > 0)
+        calls = np.sort(np.concatenate([sites.call for sites in classes]))
+        assert np.array_equal(calls, np.arange(calls.shape[0]))
 
     def test_buffers_are_frozen(self, soa):
         with pytest.raises(ValueError):
@@ -275,18 +283,24 @@ class TestRaggedBatchParity:
         )
         self._assert_prefix_equal(reference("stochastic", **kwargs), candidate, batch, "stochastic")
 
+    # Classes at rate 1 hit every call without drawing, beside classes
+    # that draw: the replay must skip exactly those classes in the merge.
+    CERTAIN_RATES = FaultModelSpec.stochastic(
+        gate_error_rate=0.05,
+        memory_error_rate=1.0,
+        preset_error_rate=0.02,
+        metadata_error_rate=1.0,
+    )
+
     @pytest.mark.parametrize("batch", [1, 65])
-    def test_stochastic_stream_chunking_is_invisible(self, cell, batch, monkeypatch):
-        # One trial per stream chunk: the sparse events must not depend on
-        # how the (B, n_draws) uniform block is split.
+    def test_certain_classes_beside_drawn_ones_byte_identical(self, cell, batch):
         bitpacked, matrix, seeds, reference = cell
-        monkeypatch.setattr(bitpacked_module, "_STREAM_CHUNK_BYTES", 1)
-        kwargs = dict(fault_model=self.ALL_RATES, fault_seeds=seeds)
+        kwargs = dict(fault_model=self.CERTAIN_RATES, fault_seeds=seeds)
         candidate = bitpacked.run_trials(
-            matrix[:batch], fault_model=self.ALL_RATES, fault_seeds=seeds[:batch]
+            matrix[:batch], fault_model=self.CERTAIN_RATES, fault_seeds=seeds[:batch]
         )
         assert candidate.faults_injected.sum() > 0
-        self._assert_prefix_equal(reference("stochastic", **kwargs), candidate, batch, "chunked")
+        self._assert_prefix_equal(reference("certain", **kwargs), candidate, batch, "certain")
 
     @pytest.mark.parametrize("batch", [63, 64, 65])
     def test_burst_byte_identical(self, cell, batch):
@@ -319,9 +333,9 @@ class TestRaggedBatchParity:
 
 
 # ---------------------------------------------------------------------- #
-# Legacy skip-sampled stream discipline
+# Skip-sampled fault stream
 # ---------------------------------------------------------------------- #
-class TestLegacyStreams:
+class TestSkipSampledStream:
     @pytest.fixture(scope="class")
     def backend(self):
         netlist = get_campaign_workload("dot2").netlist
@@ -330,9 +344,9 @@ class TestLegacyStreams:
     def test_reproducible_for_fixed_seeds(self, backend):
         seeds = [derive_seed("legacy", t, "faults") for t in range(100)]
         matrix = sample_input_matrix(backend.netlist, seeds)
-        model = FaultModel(gate_error_rate=2e-3, memory_error_rate=1e-3)
-        first = backend.run_trials(matrix, model=model, fault_seeds=seeds)
-        again = backend.run_trials(matrix, model=model, fault_seeds=seeds)
+        model = FaultModelSpec.stochastic(gate_error_rate=2e-3, memory_error_rate=1e-3)
+        first = backend.run_trials(matrix, fault_model=model, fault_seeds=seeds)
+        again = backend.run_trials(matrix, fault_model=model, fault_seeds=seeds)
         _assert_outcomes_equal(first, again, "repro")
 
     def test_batch_composition_invariance(self, backend):
@@ -341,11 +355,11 @@ class TestLegacyStreams:
         # placement-independent.
         seeds = [derive_seed("legacy-invar", t, "faults") for t in range(130)]
         matrix = sample_input_matrix(backend.netlist, seeds)
-        model = FaultModel(gate_error_rate=5e-3, memory_error_rate=1e-3)
-        whole = backend.run_trials(matrix, model=model, fault_seeds=seeds)
+        model = FaultModelSpec.stochastic(gate_error_rate=5e-3, memory_error_rate=1e-3)
+        whole = backend.run_trials(matrix, fault_model=model, fault_seeds=seeds)
         for lo, hi in ((0, 1), (17, 18), (60, 70), (100, 130)):
             part = backend.run_trials(
-                matrix[lo:hi], model=model, fault_seeds=seeds[lo:hi]
+                matrix[lo:hi], fault_model=model, fault_seeds=seeds[lo:hi]
             )
             for field in OUTCOME_FIELDS:
                 assert np.array_equal(
@@ -361,7 +375,9 @@ class TestLegacyStreams:
         seeds = [derive_seed("legacy-stats", t, "faults") for t in range(trials)]
         matrix = sample_input_matrix(backend.netlist, seeds)
         outcomes = backend.run_trials(
-            matrix, model=FaultModel(gate_error_rate=rate), fault_seeds=seeds
+            matrix,
+            fault_model=FaultModelSpec.stochastic(gate_error_rate=rate, memory_error_rate=0.0),
+            fault_seeds=seeds,
         )
         # metadata_error_rate falls back to the gate rate, so every gate
         # output (metadata included) is a site at this rate.
@@ -375,7 +391,9 @@ class TestLegacyStreams:
         seeds = [derive_seed("legacy-sat", t) for t in range(3)]
         matrix = sample_input_matrix(backend.netlist, seeds)
         outcomes = backend.run_trials(
-            matrix, model=FaultModel(gate_error_rate=1.0), fault_seeds=seeds
+            matrix,
+            fault_model=FaultModelSpec.stochastic(gate_error_rate=1.0, memory_error_rate=0.0),
+            fault_seeds=seeds,
         )
         # Gate and (fallback-rate) metadata outputs all flip, every trial.
         assert np.all(outcomes.faults_injected == backend.soa.n_gate_output_sites)
@@ -413,7 +431,7 @@ class TestBitpackedBackendSurface:
         matrix = np.ones((2, soa.n_inputs), dtype=np.uint8)
         with pytest.raises(ProtectionError, match="one fault source"):
             run_packed(
-                soa, matrix, model=FaultModel(gate_error_rate=0.1),
+                soa, matrix, fault_model=FaultModelSpec.stochastic(0.1),
                 fault_seeds=[1, 2], fault_plan=[{0: 0}, {}],
             )
         with pytest.raises(ProtectionError, match="one fault source"):

@@ -14,7 +14,7 @@ from repro.core.backend import BACKEND_NAMES, make_backend
 from repro.core.executor import EcimExecutor, UnprotectedExecutor
 from repro.core.sep import and_gate_example_netlist
 from repro.errors import EvaluationError
-from repro.pim.faults import FaultModel
+from repro.pim.faults import FaultModelSpec
 
 
 class TestBinomialTail:
@@ -194,6 +194,6 @@ class TestMonteCarloBackends:
             gate_error_rate=0.0,
             trials=25,
             seed=6,
-            model=FaultModel(memory_error_rate=0.1),
+            fault_model=FaultModelSpec.stochastic(memory_error_rate=0.1),
         )
         assert result.total_faults_injected > 0

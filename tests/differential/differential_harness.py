@@ -18,7 +18,7 @@ trial.
 The five fault models of the grid mirror the scalar injector family:
 
 * ``stochastic`` — independent Bernoulli flips (gate + memory + preset +
-  metadata rates), Philox streams shared across backends;
+  metadata rates), one skip-sampled fault stream shared across backends;
 * ``burst`` — correlated bursts (trigger rate, length, correlation window)
   plus independent memory errors;
 * ``stuck-at`` — permanent stuck-at-1 faults on a data output column and
@@ -47,7 +47,7 @@ from repro.core.batched import sample_input_matrix
 from repro.core.faultplan import FaultPlanArrays
 from repro.pim.faults import FaultModelSpec
 
-#: The bit-exact legacy engine every candidate is measured against.
+#: The oracle every candidate is measured against.
 REFERENCE_BACKEND = "scalar"
 
 
@@ -100,18 +100,16 @@ class ShardedBackend(ExecutionBackend):
         *,
         n_trials=None,
         fault_plan=None,
-        model=None,
         fault_seeds=None,
         fault_model=None,
         capture_outputs=False,
     ):
         matrix = self._input_matrix(inputs, n_trials)
-        self._validate_fault_args(matrix.shape[0], fault_plan, model, fault_seeds, fault_model)
+        self._validate_fault_args(matrix.shape[0], fault_plan, fault_seeds, fault_model)
         shards = [
             self.inner.run_trials(
                 matrix[start:stop],
                 fault_plan=self._shard_plan(fault_plan, start, stop),
-                model=model,
                 fault_seeds=None if fault_seeds is None else list(fault_seeds[start:stop]),
                 fault_model=fault_model,
                 capture_outputs=capture_outputs,

@@ -13,8 +13,8 @@ from repro.pim.faults import (
     FaultLog,
     FaultModel,
     FaultModelSpec,
+    GeometricCountdown,
     NoFaultInjector,
-    PhiloxRandom,
     StochasticFaultInjector,
     StuckAtFaultInjector,
     parse_fault_model,
@@ -116,6 +116,37 @@ class TestStochasticFaultInjector:
         injector = StochasticFaultInjector(FaultModel(preset_error_rate=1.0), seed=0)
         assert injector.corrupt_preset(0, SITE, 0) == 1
         assert injector.log.count(FaultKind.PRESET) == 1
+
+
+class TestGeometricCountdown:
+    """The per-class countdown every stochastic injector shares."""
+
+    def test_draws_once_per_hit(self):
+        rng = _CountingRandom(3)
+        countdown = GeometricCountdown(rng, 0.1)
+        hits = sum(countdown.hit() for _ in range(5000))
+        # A draw at the first call and at the first call after each hit.
+        assert rng.draws in (hits, hits + 1)
+        assert 400 < hits < 600
+
+    def test_gap_zero_hits_the_drawing_call(self):
+        countdown = GeometricCountdown(_ScriptedRandom([0.0, 0.0, 0.99]), 0.5)
+        assert [countdown.hit() for _ in range(4)] == [True, True, False, False]
+
+    def test_certain_and_impossible_rates_never_draw(self):
+        rng = _CountingRandom(3)
+        always, never = GeometricCountdown(rng, 1.0), GeometricCountdown(rng, 0.0)
+        assert all(always.hit() for _ in range(20))
+        assert not any(never.hit() for _ in range(20))
+        assert rng.draws == 0
+
+    def test_classes_share_one_generator_in_call_order(self):
+        # Two countdowns over one generator consume it interleaved, in the
+        # order their draws fall due — the order the tape replay merges.
+        rng = _ScriptedRandom([0.0, 0.0, 0.0])
+        first, second = GeometricCountdown(rng, 0.5), GeometricCountdown(rng, 0.5)
+        assert first.hit() and second.hit() and first.hit()
+        assert rng.uniforms == []
 
 
 class TestDeterministicFaultInjector:
@@ -247,6 +278,17 @@ class TestSeedInjection:
         assert self.draws(by_seed) == self.draws(by_rng)
 
 
+class _ScriptedRandom(random.Random):
+    """A generator that replays a fixed list of uniforms."""
+
+    def __init__(self, uniforms):
+        super().__init__(0)
+        self.uniforms = list(uniforms)
+
+    def random(self):
+        return self.uniforms.pop(0)
+
+
 class _CountingRandom(random.Random):
     """A generator that counts its uniform draws (zero-rate early-exit probe)."""
 
@@ -295,13 +337,14 @@ class TestScalarInjectorEdgeCases:
         assert injector.log.count() == 4
 
     def test_burst_window_expiry_leaves_stale_budget_inert(self):
+        # The first uniform makes a gap of 0 (trigger at op 0), the second a
+        # gap far beyond op 7, so only a stale budget could flip there.
         injector = BurstFaultInjector(
-            FaultModel(gate_error_rate=1.0), burst_length=5, correlation_window=1, seed=1
+            FaultModel(gate_error_rate=0.5), burst_length=5, correlation_window=1,
+            seed=_ScriptedRandom([0.0, 0.999999]),
         )
         assert injector.corrupt_gate_output(0, SITE, 0) == 1  # trigger, budget 4
-        # Jump past the window with rate forced to zero: the stale budget
-        # alone must not flip anything.
-        injector.model = FaultModel(gate_error_rate=0.0)
+        # Jump past the window: the stale budget alone must not flip anything.
         assert injector.corrupt_gate_output(0, SITE, 7) == 0
 
     def test_stuck_at_on_a_preset_target_cell(self):
@@ -452,12 +495,17 @@ class TestFaultModelSpec:
         with pytest.raises(PimError):
             FaultModelSpec.stochastic(0.1).make_injector()  # drawing model, no seed
 
-    def test_philox_random_matches_numpy_stream(self):
-        import numpy as np
-
-        generator = np.random.Generator(np.random.Philox(key=99))
-        rng = PhiloxRandom(99)
-        assert [rng.random() for _ in range(16)] == list(generator.random(16))
+    def test_make_injector_draws_from_the_trial_seed(self):
+        # One fault stream: the injector walks random.Random(seed) directly.
+        spec = FaultModelSpec.stochastic(0.3)
+        by_spec = spec.make_injector(seed=99)
+        direct = StochasticFaultInjector(spec.rate_model(), seed=99)
+        draws = [
+            (by_spec.corrupt_gate_output(0, SITE, op), direct.corrupt_gate_output(0, SITE, op))
+            for op in range(40)
+        ]
+        assert all(a == b for a, b in draws)
+        assert any(a for a, _ in draws)
 
     def test_stuck_cells_site_map(self):
         spec = FaultModelSpec.stuck_at((2, 9), 1)
