@@ -21,8 +21,9 @@ Two implementations:
   is compiled to an instruction tape (:func:`~repro.core.batched.compile_plan`),
   lowered to structure-of-arrays form (:func:`~repro.core.soa.lower_plan`)
   and interpreted 64 trials per ``uint64`` word
-  (:func:`~repro.core.bitpacked.run_packed); each gate firing is a handful
-  of branch-free bitwise word ops over the whole batch.  Deterministic
+  (:func:`~repro.core.bitpacked.run_packed); gates run in waves, each
+  group of same-table gates as one bit-sliced kernel call over the whole
+  batch.  Deterministic
   fault plans map each batch row to its own flips, which is what lets the
   exhaustive fault sweeps run with *fault site as the batch dimension*.
 
@@ -552,8 +553,8 @@ class ScalarBackend(ExecutionBackend):
 class BitpackedBackend(ExecutionBackend):
     """The compiled instruction tape behind the backend protocol, lowered to
     structure-of-arrays form and interpreted 64 trials per uint64 word
-    (:mod:`repro.core.bitpacked`): branch-free word-op gates over bitplane
-    state, sparse per-step flip events for every fault source."""
+    (:mod:`repro.core.bitpacked`): wave-fused gate groups over bitplane
+    state, sparse unit-keyed flip events for every fault source."""
 
     name = "bitpacked"
 

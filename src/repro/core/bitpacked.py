@@ -1,20 +1,32 @@
-"""Bit-packed trial engine: 64 trials per uint64 word over the SoA tape.
+"""Bit-packed trial engine: 64 trials per uint64 word over the SoA wave
+schedule.
 
 This is the one tape engine; the scalar object model
 (:mod:`repro.core.executor`) is the oracle it must match.  The engine packs
-the ``(B, n_cols)`` trial state into uint64 **bitplanes** of shape
-``(ceil(B/64), n_cols)`` — trial ``t`` lives at bit ``t & 63`` of word
-``t >> 6`` in every column — and evaluates each gate firing as a handful of
-branch-free AND/OR/XOR/NOT word ops over all 64 trials of a word at once.
-The interpreter dispatches on the dense :class:`~repro.core.soa.SoaPlan`
-buffers, not on Python step objects.
+the trial state into uint64 **bitplanes** of shape ``(ceil(B/64),
+n_state_cols)`` — trial ``t`` lives at bit ``t & 63`` of word ``t >> 6`` in
+every column, and every gate output cell has its own SSA state column
+(:mod:`repro.core.soa`).  It walks the plan's **units** in order, not its
+tape steps:
+
+* a gate group (the gates of one wave between two barriers that share a
+  truth table) gathers its operands as one ``(W, g, k)`` block, evaluates
+  them with one bit-sliced kernel of :data:`_GROUP_KERNELS`, repeats lanes
+  for multi-output firings, XORs in the unit's flip events, re-forces stuck
+  cells (``is_stuck[phys]``) and writes its contiguous block of SSA
+  columns;
+* a barrier (preset, read, ECiM check, TRiM vote) runs as one step on the
+  state columns live at its place in the tape.
+
+The fault-free reference runs the same kernels over the netlist grouped by
+(logic level, truth table) (:class:`~repro.core.soa.GoldenSchedule`).
 
 Every fault source except stuck-at is first turned into one form — sparse
-per-step flip events (:class:`_StepEvents`), grouped by tape step — which
-the interpreter XORs into the gate output block or the preset/read
-columns.  Every source is **byte-identical** to the scalar backend from
-shared per-trial seeds (enforced by ``tests/differential/`` and
-``tests/golden/``):
+flip events keyed by (unit, lane in the unit's block)
+(:class:`_UnitEvents`) — which the interpreter XORs into the group's
+output block or the preset/read columns.  Every source is
+**byte-identical** to the scalar backend from shared per-trial seeds
+(enforced by ``tests/differential/`` and ``tests/golden/``):
 
 * deterministic ``fault_plan`` flips map straight to events;
 * the stochastic fault stream (:mod:`repro.pim.faults`: one
@@ -40,6 +52,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from functools import lru_cache, partial
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -53,13 +66,14 @@ from repro.core.soa import (
     KIND_PRESET,
     KIND_READ,
     KIND_TRIM,
+    GoldenSchedule,
     SiteClass,
     SoaPlan,
+    golden_schedule,
 )
-from repro.errors import ProtectionError
+from repro.errors import GateOperandError, ProtectionError
 from repro.pim.faults import FaultModel, FaultModelSpec, geometric_gap
 from repro.pim.gates import GateType
-from repro.pim.vector import TABLE_MAX_INPUTS, truth_table, vector_gate_output
 
 __all__ = [
     "WORD_BITS",
@@ -146,116 +160,110 @@ def _unpack_flags(word_column: np.ndarray, batch: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------- #
-# Gate firings as word-op programs
+# Group kernels: one truth table over a (W, g, k) operand block
 # ---------------------------------------------------------------------- #
-_PROGRAMS: Dict[Tuple[str, int, Optional[int]], Callable] = {}
+@lru_cache(maxsize=None)
+def _tally_updates(k: int, count: int) -> Tuple[Tuple[int, int], ...]:
+    """The ``(input, tally)`` updates of :func:`_at_least` after input 0:
+    input ``j`` carries into tally ``i`` from the top down, and tallies that
+    can no longer reach ``count`` with the inputs left are skipped."""
+    return tuple(
+        (j, i)
+        for j in range(1, k)
+        for i in range(min(j, count - 1), max(0, count - k + j) - 1, -1)
+    )
 
 
-def _minterm_program(gate: str, n_inputs: int, threshold: Optional[int]) -> Callable:
-    """Generic branch-free form of one truth table: OR of AND-minterms over
-    the (complemented) operand planes, inverting via the complement table
-    when that halves the term count.  Exact for every native gate because
-    the table itself comes from the scalar gate model."""
-    table = truth_table(gate, n_inputs, threshold)
-    invert = int(table.sum()) > table.size // 2
-    minterms = np.nonzero(table == 0 if invert else table != 0)[0]
-
-    def program(operands: np.ndarray) -> np.ndarray:
-        acc: Optional[np.ndarray] = None
-        for index in minterms:
-            term: Optional[np.ndarray] = None
-            for j in range(n_inputs):
-                plane = operands[:, j] if (index >> j) & 1 else ~operands[:, j]
-                term = plane if term is None else term & plane
-            acc = term if acc is None else acc | term
-        if acc is None:
-            acc = np.zeros(operands.shape[0], dtype=np.uint64)
-        return ~acc if invert else acc
-
-    return program
+def _at_least(operands: np.ndarray, count: int) -> np.ndarray:
+    """Lanes with at least ``count`` of the ``k`` operand planes set, as a
+    bit-sliced saturating counter: after input ``j``, ``tally[i]`` holds the
+    lanes with more than ``i`` ones among inputs ``0..j``."""
+    planes = [operands[..., j] for j in range(operands.shape[-1])]
+    tally = planes[:1]
+    for j, i in _tally_updates(len(planes), count):
+        carry = tally[i - 1] & planes[j] if i else planes[j]
+        if i == len(tally):
+            tally.append(carry)
+        else:
+            tally[i] = tally[i] | carry
+    return tally[count - 1]
 
 
-def _wide_gate_program(gate: str, threshold: Optional[int]) -> Callable:
-    """Fallback for firings wider than TABLE_MAX_INPUTS: bounce through the
-    uint8 vector semantics (identical by construction, never hit by the
-    shipped netlists)."""
-
-    def program(operands: np.ndarray) -> np.ndarray:
-        lanes = operands.shape[0] * WORD_BITS
-        bits = unpack_trials(operands, lanes)
-        return pack_trials(vector_gate_output(gate, bits, threshold)[:, None])[:, 0]
-
-    return program
-
-
-def _word_program(gate: str, n_inputs: int, threshold: Optional[int]) -> Callable:
-    """Compile (and cache) one gate firing as a word-op program mapping
-    ``(W, n_inputs)`` operand planes to the ``(W,)`` output plane."""
-    key = (gate, n_inputs, threshold)
-    program = _PROGRAMS.get(key)
-    if program is not None:
-        return program
-    if n_inputs > TABLE_MAX_INPUTS:
-        program = _wide_gate_program(gate, threshold)
-    elif gate == GateType.COPY:
-        program = lambda operands: operands[:, 0]  # noqa: E731
-    elif gate == GateType.NOT:
-        program = lambda operands: ~operands[:, 0]  # noqa: E731
-    elif gate == GateType.NOR:
-        program = lambda operands: ~np.bitwise_or.reduce(operands, axis=1)  # noqa: E731
-    elif gate == GateType.NAND:
-        program = lambda operands: ~np.bitwise_and.reduce(operands, axis=1)  # noqa: E731
-    elif gate == GateType.MAJ and n_inputs == 3:
-        program = lambda o: (  # noqa: E731
-            (o[:, 0] & o[:, 1]) | (o[:, 0] & o[:, 2]) | (o[:, 1] & o[:, 2])
-        )
-    else:
-        program = _minterm_program(gate, n_inputs, threshold)
-    _PROGRAMS[key] = program
-    return program
+#: Bit-sliced form of every native gate over ``(..., k)`` operand planes
+#: (the last axis holds a firing's inputs), at any fan-in.  ``threshold``
+#: is THR's normalised threshold and ``None`` for every other gate.
+_GROUP_KERNELS: Dict[str, Callable[[np.ndarray, Optional[int]], np.ndarray]] = {
+    GateType.NOR: lambda o, threshold: ~np.bitwise_or.reduce(o, axis=-1),
+    GateType.NAND: lambda o, threshold: ~np.bitwise_and.reduce(o, axis=-1),
+    GateType.NOT: lambda o, threshold: ~o[..., 0],
+    GateType.COPY: lambda o, threshold: o[..., 0],
+    # THR: 1 iff at least `threshold` zeros, i.e. not k - threshold + 1 ones.
+    GateType.THR: lambda o, threshold: ~_at_least(o, o.shape[-1] - threshold + 1),
+    GateType.MAJ: lambda o, threshold: _at_least(o, (o.shape[-1] + 1) // 2),
+}
 
 
-def _gate_words(gate: str, operands: np.ndarray, threshold: Optional[int]) -> np.ndarray:
-    """Evaluate one firing on packed operand planes (THR normalising its
-    default threshold exactly like :func:`~repro.pim.vector.truth_table`)."""
+def _group_kernel(
+    gate: str, n_inputs: int, threshold: Optional[int]
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The kernel of one truth table ``(gate, n_inputs, threshold)``, with
+    the scalar gate model's operand rules checked once up front."""
+    if gate not in _GROUP_KERNELS:
+        raise GateOperandError(f"not a native in-array gate: {gate!r}")
+    if n_inputs < 1:
+        raise GateOperandError("a gate needs at least one input")
+    if gate in (GateType.NOT, GateType.COPY) and n_inputs != 1:
+        raise GateOperandError(f"{gate.upper()} takes exactly one input")
+    if gate == GateType.MAJ and n_inputs % 2 == 0:
+        raise GateOperandError("majority vote requires an odd number of inputs")
     if gate == GateType.THR:
         threshold = 3 if threshold is None else int(threshold)
-    else:
-        threshold = None
-    return _word_program(gate, operands.shape[1], threshold)(operands)
+        if not 1 <= threshold <= n_inputs:
+            raise GateOperandError(
+                f"threshold must be within 1..{n_inputs}, got {threshold}"
+            )
+    return partial(_GROUP_KERNELS[gate], threshold=threshold)
 
 
 # ---------------------------------------------------------------------- #
 # Packed golden model
 # ---------------------------------------------------------------------- #
+def _golden_planes(schedule: GoldenSchedule, input_planes: np.ndarray) -> np.ndarray:
+    """Run a :class:`~repro.core.soa.GoldenSchedule` on packed inputs:
+    one kernel call per (logic level, truth table) group."""
+    words = input_planes.shape[0]
+    values = np.zeros((words, schedule.n_values), dtype=np.uint64)
+    values[:, schedule.n_values - 1] = _FULL  # CONST_ONE
+    values[:, schedule.input_cols] = input_planes
+    kernels = [_group_kernel(*key) for key in schedule.tables]
+    bounds = schedule.group_ptr.tolist()
+    in_bounds = schedule.in_ptr[schedule.group_ptr].tolist()
+    for group, table in enumerate(schedule.group_table.tolist()):
+        lo, hi = bounds[group], bounds[group + 1]
+        operands = values[:, schedule.in_cols[in_bounds[group]:in_bounds[group + 1]]]
+        values[:, schedule.out_cols[lo:hi]] = kernels[table](
+            operands.reshape(words, hi - lo, -1)
+        )
+    return values[:, schedule.output_cols]
+
+
 def bitpacked_golden_outputs(
     netlist: Netlist, input_planes: np.ndarray, batch: int
 ) -> np.ndarray:
     """Fault-free netlist outputs for all B trials, evaluated entirely in
-    the packed domain — byte-identical to
-    :meth:`~repro.compiler.netlist.Netlist.evaluate_outputs` because the
-    word programs come from the scalar gate model's truth tables."""
-    words = input_planes.shape[0]
-    values: Dict[int, np.ndarray] = {
-        Netlist.CONST_ZERO: np.zeros(words, dtype=np.uint64),
-        Netlist.CONST_ONE: np.full(words, _FULL, dtype=np.uint64),
-    }
-    for position, signal in enumerate(netlist.inputs):
-        values[signal] = input_planes[:, position]
-    for node in netlist.gates:
-        operands = np.stack([values[s] for s in node.inputs], axis=1)
-        values[node.output] = _gate_words(node.gate, operands, node.threshold)
-    golden_planes = np.stack([values[s] for s in netlist.outputs], axis=1)
-    return unpack_trials(golden_planes, batch)
+    the packed domain, one kernel call per (logic level, truth table) —
+    byte-identical to :meth:`~repro.compiler.netlist.Netlist.evaluate_outputs`
+    because the kernels implement the scalar gate model's semantics."""
+    return unpack_trials(_golden_planes(golden_schedule(netlist), input_planes), batch)
 
 
 # ---------------------------------------------------------------------- #
 # Fault-injection schedules
 # ---------------------------------------------------------------------- #
-class _StepEvents:
-    """Sparse flip events of one tape step in packed coordinates: trial
-    word, lane (the step's output position or column position) and the
-    trial's bit within its word."""
+class _UnitEvents:
+    """Sparse flip events of one unit in packed coordinates: trial word,
+    block lane (the lane in a gate group's output block, or the barrier
+    step's column position) and the trial's bit within its word."""
 
     __slots__ = ("words", "lanes", "bits")
 
@@ -265,26 +273,28 @@ class _StepEvents:
         self.bits = bits
 
     def apply(self, planes: np.ndarray, columns: Optional[np.ndarray] = None) -> None:
-        """XOR the events into ``planes`` — a gate's ``(W, n_outputs)``
-        output block, or the state through the step's ``columns``."""
+        """XOR the events into ``planes`` — a gate group's ``(W, lanes)``
+        output block, or the state through a barrier step's ``columns``."""
         lanes = self.lanes if columns is None else columns[self.lanes]
         np.bitwise_xor.at(planes, (self.words, lanes), self.bits)
 
 
 def _group_events(
-    trials: np.ndarray, steps: np.ndarray, lanes: np.ndarray
-) -> Dict[int, _StepEvents]:
-    """Group parallel (trial, tape step, lane) flip events by tape step with
-    one stable argsort — the single sparse form every schedule emits."""
-    order = np.argsort(steps, kind="stable")
-    steps = steps[order]
+    soa: SoaPlan, trials: np.ndarray, steps: np.ndarray, lanes: np.ndarray
+) -> Dict[int, _UnitEvents]:
+    """Key parallel (trial, tape step, lane) flip events by (unit, block
+    lane) in one vectorised remap, grouped per unit with one stable argsort
+    — the single sparse form every schedule emits."""
+    units = soa.unit_of_step[steps]
+    order = np.argsort(units, kind="stable")
+    units = units[order]
     trials = trials[order].astype(np.uint64)
     words = (trials >> np.uint64(6)).astype(np.intp)
     bits = _ONE << (trials & np.uint64(63))
-    lanes = lanes[order].astype(np.intp, copy=False)
-    bounds = np.concatenate(([0], np.flatnonzero(np.diff(steps)) + 1, [steps.size]))
+    lanes = soa.lane_offset_of_step[steps[order]] + lanes[order]
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(units)) + 1, [units.size]))
     return {
-        int(steps[lo]): _StepEvents(words[lo:hi], lanes[lo:hi], bits[lo:hi])
+        int(units[lo]): _UnitEvents(words[lo:hi], lanes[lo:hi], bits[lo:hi])
         for lo, hi in zip(bounds[:-1], bounds[1:])
         if hi > lo
     }
@@ -292,7 +302,7 @@ def _group_events(
 
 def _deterministic_schedule(
     soa: SoaPlan, plan_arrays: FaultPlanArrays, batch: int
-) -> Tuple[Dict[int, _StepEvents], np.ndarray]:
+) -> Tuple[Dict[int, _UnitEvents], np.ndarray]:
     """Per-step packed XOR events of a whole batch of deterministic plans.
 
     A handful of numpy passes replaces per-step, per-entry targeting: map
@@ -312,7 +322,7 @@ def _deterministic_schedule(
     valid &= positions < widths[np.where(valid, slots, 0)]
     trials, slots, positions = trials[valid], slots[valid], positions[valid]
     faults = np.bincount(trials, minlength=batch).astype(np.int64, copy=False)
-    return _group_events(trials, soa.gate_step_index[slots], positions), faults
+    return _group_events(soa, trials, soa.gate_step_index[slots], positions), faults
 
 
 def _require_seeds(kind: str, fault_seeds, batch: int) -> None:
@@ -389,8 +399,8 @@ def _stream_hits(
 
 def _exact_stochastic_schedule(
     soa: SoaPlan, model: FaultModel, fault_seeds: Optional[Sequence[int]], batch: int
-) -> Tuple[Dict[int, _StepEvents], np.ndarray]:
-    """Sparse per-step flip events of the stochastic fault stream
+) -> Tuple[Dict[int, _UnitEvents], np.ndarray]:
+    """Sparse flip events of the stochastic fault stream
     (:func:`_stream_hits`).  Every hit counts as a fault; count-only hits
     (presets on gate outputs) emit no event."""
     faults = np.zeros(batch, dtype=np.int64)
@@ -404,7 +414,9 @@ def _exact_stochastic_schedule(
         trials.append(hit_trials[keep])
         steps.append(sites.step[positions[keep]])
         lanes.append(sites.lane[positions[keep]])
-    events = _group_events(np.concatenate(trials), np.concatenate(steps), np.concatenate(lanes))
+    events = _group_events(
+        soa, np.concatenate(trials), np.concatenate(steps), np.concatenate(lanes)
+    )
     return events, faults
 
 
@@ -478,7 +490,7 @@ class _BurstInjection:
 
 def _burst_schedule(
     soa: SoaPlan, spec: FaultModelSpec, fault_seeds: Sequence[int], batch: int
-) -> Tuple[Dict[int, _StepEvents], np.ndarray]:
+) -> Tuple[Dict[int, _UnitEvents], np.ndarray]:
     """Pre-play the burst state machine over the tape: burst flip decisions
     are data-independent (they depend only on the per-trial streams and the
     operation schedule), so walking :class:`_BurstInjection` through the
@@ -510,7 +522,7 @@ def _burst_schedule(
     if not hit_trials:
         return {}, np.zeros(batch, dtype=np.int64)
     trials = np.concatenate(hit_trials)
-    events = _group_events(trials, np.concatenate(hit_steps), np.concatenate(hit_lanes))
+    events = _group_events(soa, trials, np.concatenate(hit_steps), np.concatenate(hit_lanes))
     return events, np.bincount(trials, minlength=batch).astype(np.int64, copy=False)
 
 
@@ -537,6 +549,66 @@ def _stuck_word_apply(
     return counts
 
 
+def _ecim_check(
+    soa: SoaPlan, state: np.ndarray, slot: int, batch: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One ECiM syndrome decode and write-back; returns per-trial (fired,
+    corrections, uncorrectable) contributions."""
+    data_cols = soa.ecim_data_cols[soa.ecim_data_ptr[slot]:soa.ecim_data_ptr[slot + 1]]
+    parity_lo, parity_hi = soa.ecim_parity_ptr[slot], soa.ecim_parity_ptr[slot + 1]
+    syndrome_planes = state[:, soa.ecim_parity_cols[parity_lo:parity_hi]]
+    cover_ptr = soa.ecim_cover_ptr[parity_lo:parity_hi + 1]
+    covered = np.flatnonzero(np.diff(cover_ptr))
+    if covered.size:
+        cover = soa.ecim_cover_cols[cover_ptr[0]:cover_ptr[-1]]
+        syndrome_planes[:, covered] ^= np.bitwise_xor.reduceat(
+            state[:, cover], cover_ptr[covered] - cover_ptr[0], axis=1
+        )
+    syndrome = unpack_trials(syndrome_planes, batch).astype(np.int64)
+    packed = syndrome @ soa.ecim_weights[slot]
+    fired = packed != 0
+    patterns = soa.ecim_lut[soa.ecim_lut_offset[slot] + packed]
+    valid = patterns >= 0
+    is_data = valid & (patterns < data_cols.shape[0])
+    rows, pattern_slots = np.nonzero(is_data)
+    if rows.size:
+        np.bitwise_xor.at(
+            state,
+            ((rows >> 6).astype(np.intp), data_cols[patterns[rows, pattern_slots]]),
+            _ONE << (rows.astype(np.uint64) & np.uint64(63)),
+        )
+    return fired, is_data.sum(axis=1, dtype=np.int64), fired & ~valid.any(axis=1)
+
+
+def _trim_vote(
+    soa: SoaPlan, state: np.ndarray, slot: int, batch: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One TRiM majority vote and write-back; returns per-trial (disagreed,
+    corrections) contributions."""
+    data_cols = soa.trim_data_cols[soa.trim_data_ptr[slot]:soa.trim_data_ptr[slot + 1]]
+    groups = soa.trim_copy_groups[slot]
+    n_copies = int(soa.trim_n_copies[slot])
+    data_planes = state[:, data_cols]
+    if n_copies == 3 and len(groups) == 2:
+        copy1 = state[:, groups[0]]
+        copy2 = state[:, groups[1]]
+        voted = (data_planes & copy1) | (data_planes & copy2) | (copy1 & copy2)
+        disagree = (data_planes ^ copy1) | (data_planes ^ copy2)
+        state[:, data_cols] = voted
+        return (
+            _unpack_flags(np.bitwise_or.reduce(disagree, axis=1), batch),
+            unpack_trials(data_planes ^ voted, batch).sum(axis=1, dtype=np.int64),
+        )
+    copies = [unpack_trials(data_planes, batch)] + [
+        unpack_trials(state[:, cols], batch) for cols in groups
+    ]
+    total = np.sum(copies, axis=0, dtype=np.int64)
+    voted_bits = (total * 2 > n_copies).astype(np.uint8)
+    state[:, data_cols] = pack_trials(voted_bits)
+    disagree = (total != 0) & (total != n_copies)
+    return disagree.any(axis=1), (copies[0] != voted_bits).sum(axis=1, dtype=np.int64)
+
+
 def run_packed(
     soa: SoaPlan,
     input_matrix: np.ndarray,
@@ -544,7 +616,7 @@ def run_packed(
     fault_plan: "Union[Sequence[Mapping[int, int]], FaultPlanArrays, None]" = None,
     fault_model: Optional[FaultModelSpec] = None,
 ) -> BatchResult:
-    """Interpret the SoA tape for all B trials, 64 per word.
+    """Interpret the SoA wave schedule for all B trials, 64 per word.
 
     ``input_matrix`` is a ``(B, n_inputs)`` bit matrix in ``netlist.inputs``
     order.  At most one fault source drives a batch:
@@ -574,7 +646,7 @@ def run_packed(
         )
 
     stuck: Optional[_StuckCells] = None
-    events: Dict[int, _StepEvents] = {}
+    events: Dict[int, _UnitEvents] = {}
     faults = np.zeros(batch, dtype=np.int64)
     if fault_model is not None:
         if fault_model.kind == "stochastic":
@@ -593,7 +665,8 @@ def run_packed(
         )
 
     words = n_words(batch)
-    state = np.zeros((words, plan.n_cols), dtype=np.uint64)
+    n_cols = soa.n_cols
+    state = np.zeros((words, soa.n_state_cols), dtype=np.uint64)
     state[:, plan.const1_col] = _FULL
     input_planes = pack_trials(matrix)
     state[:, plan.input_cols] = input_planes
@@ -601,122 +674,69 @@ def run_packed(
     detected = np.zeros(batch, dtype=bool)
     corrections = np.zeros(batch, dtype=np.int64)
     uncorrectable = np.zeros(batch, dtype=np.int64)
-    programs = [_word_program(*key) for key in soa.tables]
+    kernels = [_group_kernel(*key) for key in soa.tables]
+    group_kernels = [kernels[table] for table in soa.group_table.tolist()]
+    group_sizes = np.diff(soa.group_ptr).tolist()
+    group_out_ptr = soa.gate_out_ptr[soa.group_ptr]
     stuck_value = np.uint64(0)
+    stuck_groups = set()
     if stuck is not None:
         stuck_value = _FULL if stuck.value else np.uint64(0)
+        is_stuck = stuck.is_stuck[soa.phys]
+        stuck_cells = np.flatnonzero(is_stuck[n_cols:])
+        stuck_groups = set(
+            (np.searchsorted(group_out_ptr, stuck_cells, side="right") - 1).tolist()
+        )
 
-    step_kind, step_slot = soa.step_kind, soa.step_slot
-    gate_in_ptr, gate_in_cols = soa.gate_in_ptr, soa.gate_in_cols
-    gate_out_ptr, gate_out_cols = soa.gate_out_ptr, soa.gate_out_cols
+    in_bounds = soa.gate_in_ptr[soa.group_ptr].tolist()
+    out_bounds = group_out_ptr.tolist()
+    in_cols, lane_gate = soa.gate_in_cols, soa.gate_out_lane_gate
 
-    for index in range(soa.n_steps):
-        kind = step_kind[index]
-        slot = step_slot[index]
+    for unit, (kind, slot) in enumerate(zip(soa.unit_kind.tolist(), soa.unit_slot.tolist())):
         if kind == KIND_GATE:
-            in_cols = gate_in_cols[gate_in_ptr[slot]:gate_in_ptr[slot + 1]]
-            out_lo, out_hi = gate_out_ptr[slot], gate_out_ptr[slot + 1]
-            out_cols = gate_out_cols[out_lo:out_hi]
-            ideal = programs[soa.gate_table_id[slot]](state[:, in_cols])
-            if stuck is not None:
-                state[:, out_cols] = ideal[:, None]
+            gates = group_sizes[slot]
+            lo, hi = out_bounds[slot], out_bounds[slot + 1]
+            operands = state[:, in_cols[in_bounds[slot]:in_bounds[slot + 1]]]
+            block = group_kernels[slot](operands.reshape(words, gates, -1))
+            if hi - lo != gates:
+                block = block[:, lane_gate[lo:hi]]
+            unit_events = events.get(unit)
+            if unit_events is not None:
+                unit_events.apply(block)
+            state[:, n_cols + lo:n_cols + hi] = block
+            if slot in stuck_groups:
                 faults += _stuck_word_apply(
-                    state, out_cols, stuck.is_stuck, stuck_value, batch
+                    state, np.arange(n_cols + lo, n_cols + hi), is_stuck, stuck_value, batch
                 )
-                continue
-            step_events = events.get(index)
-            if step_events is None:
-                state[:, out_cols] = ideal[:, None]
-                continue
-            block = np.repeat(ideal[:, None], out_hi - out_lo, axis=1)
-            step_events.apply(block)
-            state[:, out_cols] = block
         elif kind == KIND_PRESET:
             columns = soa.preset_cols[soa.preset_ptr[slot]:soa.preset_ptr[slot + 1]]
             state[:, columns] = _FULL if soa.preset_values[slot] else np.uint64(0)
-            step_events = events.get(index)
-            if step_events is not None:
-                step_events.apply(state, columns)
+            unit_events = events.get(unit)
+            if unit_events is not None:
+                unit_events.apply(state, columns)
         elif kind == KIND_READ:
             columns = soa.read_cols[soa.read_ptr[slot]:soa.read_ptr[slot + 1]]
             if stuck is not None:
-                faults += _stuck_word_apply(
-                    state, columns, stuck.is_stuck, stuck_value, batch
-                )
+                faults += _stuck_word_apply(state, columns, is_stuck, stuck_value, batch)
                 continue
-            step_events = events.get(index)
-            if step_events is not None:
-                step_events.apply(state, columns)
+            unit_events = events.get(unit)
+            if unit_events is not None:
+                unit_events.apply(state, columns)
         elif kind == KIND_ECIM:
-            data_cols = soa.ecim_data_cols[
-                soa.ecim_data_ptr[slot]:soa.ecim_data_ptr[slot + 1]
-            ]
-            parity_cols = soa.ecim_parity_cols[
-                soa.ecim_parity_ptr[slot]:soa.ecim_parity_ptr[slot + 1]
-            ]
-            a_t = soa.ecim_a_t[slot]
-            data_planes = state[:, data_cols]
-            syndrome_planes = state[:, parity_cols].copy()
-            for bit in range(syndrome_planes.shape[1]):
-                covering = np.flatnonzero(a_t[:, bit])
-                if covering.size:
-                    syndrome_planes[:, bit] ^= np.bitwise_xor.reduce(
-                        data_planes[:, covering], axis=1
-                    )
-            syndrome = unpack_trials(syndrome_planes, batch).astype(np.int64)
-            packed = syndrome @ soa.ecim_weights[slot]
-            fired = packed != 0
+            fired, fixed, failed = _ecim_check(soa, state, slot, batch)
             detected |= fired
-            patterns = soa.ecim_lut[soa.ecim_lut_offset[slot] + packed]
-            valid = patterns >= 0
-            uncorrectable += fired & ~valid.any(axis=1)
-            d = data_cols.shape[0]
-            is_data = valid & (patterns < d)
-            corrections += is_data.sum(axis=1, dtype=np.int64)
-            rows, pattern_slots = np.nonzero(is_data)
-            if rows.size:
-                np.bitwise_xor.at(
-                    state,
-                    ((rows >> 6).astype(np.intp), data_cols[patterns[rows, pattern_slots]]),
-                    _ONE << (rows.astype(np.uint64) & np.uint64(63)),
-                )
+            corrections += fixed
+            uncorrectable += failed
         elif kind == KIND_TRIM:
-            data_cols = soa.trim_data_cols[
-                soa.trim_data_ptr[slot]:soa.trim_data_ptr[slot + 1]
-            ]
-            groups = soa.trim_copy_groups[slot]
-            n_copies = int(soa.trim_n_copies[slot])
-            data_planes = state[:, data_cols]
-            if n_copies == 3 and len(groups) == 2:
-                copy1 = state[:, groups[0]]
-                copy2 = state[:, groups[1]]
-                voted = (
-                    (data_planes & copy1) | (data_planes & copy2) | (copy1 & copy2)
-                )
-                disagree = (data_planes ^ copy1) | (data_planes ^ copy2)
-                detected |= _unpack_flags(
-                    np.bitwise_or.reduce(disagree, axis=1), batch
-                )
-                corrections += unpack_trials(data_planes ^ voted, batch).sum(
-                    axis=1, dtype=np.int64
-                )
-                state[:, data_cols] = voted
-            else:
-                copies = [unpack_trials(data_planes, batch)] + [
-                    unpack_trials(state[:, cols], batch) for cols in groups
-                ]
-                total = np.sum(copies, axis=0, dtype=np.int64)
-                voted_bits = (total * 2 > n_copies).astype(np.uint8)
-                disagree = (total != 0) & (total != n_copies)
-                detected |= disagree.any(axis=1)
-                corrections += (copies[0] != voted_bits).sum(axis=1, dtype=np.int64)
-                state[:, data_cols] = pack_trials(voted_bits)
+            disagreed, fixed = _trim_vote(soa, state, slot, batch)
+            detected |= disagreed
+            corrections += fixed
         else:  # pragma: no cover - defensive
-            raise ProtectionError(f"unknown SoA step kind {int(kind)}")
+            raise ProtectionError(f"unknown SoA unit kind {int(kind)}")
 
     return BatchResult(
-        outputs=unpack_trials(state[:, plan.output_cols], batch),
-        golden=bitpacked_golden_outputs(plan.netlist, input_planes, batch),
+        outputs=unpack_trials(state[:, soa.output_state_cols], batch),
+        golden=unpack_trials(_golden_planes(soa.golden, input_planes), batch),
         detected=detected,
         corrections=corrections,
         uncorrectable_levels=uncorrectable,

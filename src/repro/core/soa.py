@@ -2,27 +2,47 @@
 
 The compiled tape is a tuple of per-step dataclasses; walking it would
 re-derive everything (column lists, truth-table identity, output arity)
-from Python attribute access on every step of every batch.  The bit-packed
-engine (:mod:`repro.core.bitpacked`) runs each step as a handful of word
-ops — at that scale the object walk *is* the interpreter loop, and a GPU
-tape interpreter cannot consume Python objects at all.
+from Python attribute access on every step of every batch, and one Python
+iteration per step is itself the cost at campaign shard sizes, where a gate
+firing touches a handful of uint64 words.  :func:`lower_plan` therefore
+flattens the tape once, at compile time, into dense buffers *and* a wave
+schedule that lets the bit-packed engine (:mod:`repro.core.bitpacked`) run
+many firings per dispatch:
 
-:func:`lower_plan` therefore flattens the tape once, at compile time, into
-dense index/metadata buffers per step kind:
-
-* a ``step_kind`` / ``step_slot`` dispatch pair over the whole tape
-  (``step_slot[i]`` indexes the per-kind arrays below);
-* the **gate tape** in CSR form — ``gate_in_ptr``/``gate_in_cols`` and
-  ``gate_out_ptr``/``gate_out_cols`` — plus per-firing operation index,
-  metadata flag, logic level and a ``gate_table_id`` into the deduplicated
-  truth-table registry ``tables`` (one entry per distinct
-  ``(gate, n_inputs, threshold)``);
-* the **preset** and **read** tapes (CSR column lists, preset values);
-* the **ECiM tape**: CSR data/parity column lists, per-check ``a_t`` /
-  ``weights`` matrices, and all decode tables concatenated into one
-  ``ecim_lut`` buffer addressed by per-check ``ecim_lut_offset`` — the
-  syndrome-LUT-offset form a flat-array interpreter indexes with
-  ``lut[offset + packed_syndrome]``;
+* **SSA state columns.**  Every gate output cell gets a fresh state column
+  (``n_cols + cell``); ``phys`` maps each state column back to the plan's
+  physical column (the identity below ``n_cols``), which is where stuck-at
+  cells and the fault-site tables live.  Every column a step reads is
+  renamed to the last version written before it, so scratch-column reuse
+  (ECiM's XOR chains) leaves no write-after-read or write-after-write
+  hazards, only true data dependencies.
+* **Waves.**  Preset, read, ECiM-check and TRiM-vote steps are *barriers*
+  that stay in tape order.  Between two barriers every gate sits in the wave
+  one past its latest producer in the same segment, and each wave's gates
+  are grouped by truth table.  One group — gates of one (segment, wave,
+  table) — is one dispatch: gather ``state[:, in_cols]`` as ``(W, g, k)``,
+  one word-op kernel, scatter to its contiguous block of SSA columns.
+* **The gate tape** is stored in that group order: gate slot ``s`` is the
+  ``s``-th firing of the wave schedule.  CSR ``gate_in_ptr``/``gate_in_cols``
+  (state columns) and ``gate_out_ptr`` (the outputs of slot ``s`` are state
+  columns ``n_cols + gate_out_ptr[s] ..``) sit beside per-firing operation
+  index, metadata flag and a ``gate_table_id`` into the
+  deduplicated truth-table registry ``tables`` (one entry per distinct
+  ``(gate, n_inputs, threshold)``).  ``group_ptr`` splits the slots into
+  groups, ``group_table`` names each group's table, and
+  ``gate_out_lane_gate`` gives each output lane its firing within the group
+  (the lane repeat of multi-output gates).
+* **Units** are what the engine walks: one per group and one per barrier
+  (``unit_kind``/``unit_slot``).  ``unit_of_step`` and
+  ``lane_offset_of_step`` place every tape step in its unit's block, so a
+  fault event keyed by (tape step, lane) becomes (unit, block lane) in one
+  vectorised remap.
+* the **preset** and **read** tapes (CSR state-column lists, preset values);
+* the **ECiM tape**: CSR data/parity column lists, each syndrome bit's
+  covering data columns (``ecim_cover_ptr``/``ecim_cover_cols``, the
+  check's ``A^T`` as column lists), per-check ``weights``, and all decode tables
+  concatenated into one ``ecim_lut`` buffer addressed by per-check
+  ``ecim_lut_offset`` as ``lut[offset + packed_syndrome]``;
 * the **TRiM tape**: CSR data column lists plus the redundant-copy column
   groups and copy counts per vote;
 * the **fault-stream site tables** (:class:`SiteClass`) — for each of the
@@ -33,19 +53,25 @@ dense index/metadata buffers per step kind:
   the right step, and merge the classes' draws in the scalar injector's
   order, without replaying the tape.
 
-Lowering is pure bookkeeping: the SoA plan references the original
-:class:`ExecutionPlan` (``soa.plan``) for netlist/layout metadata, and every
-array is read-only so one lowered plan can serve any number of concurrent
-batches.
+The schedule is built with vectorised numpy (renaming by one sort and a
+``searchsorted``, waves by peeling the same-segment producer edges one
+wave per pass), so lowering costs no more than the per-step tape did.
+``golden`` is the netlist's fault-free :class:`GoldenSchedule`, its gates
+grouped by (logic level, truth table).  Lowering is pure bookkeeping: the
+SoA plan references the original :class:`ExecutionPlan` (``soa.plan``) for
+netlist/layout metadata, and every array is read-only so one lowered plan
+can serve any number of concurrent batches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from itertools import chain
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.compiler.netlist import Netlist
 from repro.core.batched import (
     EcimCheckStep,
     ExecutionPlan,
@@ -63,12 +89,15 @@ __all__ = [
     "KIND_READ",
     "KIND_ECIM",
     "KIND_TRIM",
+    "GoldenSchedule",
     "SiteClass",
     "SoaPlan",
+    "golden_schedule",
     "lower_plan",
 ]
 
-#: Dense step-kind codes of the ``step_kind`` dispatch array.
+#: Dense step-kind codes of the ``step_kind`` and ``unit_kind`` arrays (a
+#: KIND_GATE unit is one gate group).
 KIND_GATE, KIND_PRESET, KIND_READ, KIND_ECIM, KIND_TRIM = range(5)
 
 
@@ -77,27 +106,55 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _ptr(widths: np.ndarray) -> np.ndarray:
+    """CSR pointer of consecutive chunks of the given widths."""
+    ptr = np.zeros(widths.shape[0] + 1, dtype=np.intp)
+    np.cumsum(widths, out=ptr[1:])
+    return ptr
+
+
 def _csr(chunks) -> Tuple[np.ndarray, np.ndarray]:
     """Flatten a list of index arrays into (ptr, flat) CSR buffers."""
-    ptr = np.zeros(len(chunks) + 1, dtype=np.intp)
-    for i, chunk in enumerate(chunks):
-        ptr[i + 1] = ptr[i] + len(chunk)
+    ptr = _ptr(np.fromiter(map(len, chunks), dtype=np.intp, count=len(chunks)))
     flat = (
-        np.concatenate([np.asarray(c, dtype=np.intp) for c in chunks])
+        np.concatenate(chunks).astype(np.intp, copy=False)
         if chunks
         else np.zeros(0, dtype=np.intp)
     )
-    return _frozen(ptr), _frozen(flat.astype(np.intp, copy=False))
+    return ptr, flat
 
 
-def _table_key(step: GateStep) -> Tuple[str, int, Optional[int]]:
+def _gather_ranges(ptr: np.ndarray, order: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Reorder the chunks of a CSR pointer: returns the new pointer and, per
+    new flat position, the old flat position it comes from."""
+    starts = ptr[:-1][order]
+    widths = ptr[1:][order] - starts
+    new_ptr = _ptr(widths)
+    return new_ptr, np.repeat(starts - new_ptr[:-1], widths) + np.arange(new_ptr[-1])
+
+
+TableKey = Tuple[str, int, Optional[int]]
+
+
+def _table_key(gate: str, n_inputs: int, threshold: Optional[int]) -> TableKey:
     """Canonical truth-table identity of one firing: THR normalises its
     default threshold (the paper's 3) so e.g. ``thr/None`` and ``thr/3``
     share a table id, every other gate carries no threshold at all."""
-    n_inputs = int(step.input_cols.shape[0])
-    if step.gate == GateType.THR:
-        return (step.gate, n_inputs, 3 if step.threshold is None else int(step.threshold))
-    return (step.gate, n_inputs, None)
+    if gate == GateType.THR:
+        return (gate, n_inputs, 3 if threshold is None else int(threshold))
+    return (gate, n_inputs, None)
+
+
+def _table_ids(firings: List[TableKey]) -> Tuple[Tuple[TableKey, ...], np.ndarray]:
+    """Deduplicate ``(gate, n_inputs, threshold)`` firings into the table
+    registry (first-appearance order) and each firing's table id."""
+    tables: Dict[TableKey, int] = {}
+    table_of = {
+        firing: tables.setdefault(_table_key(*firing), len(tables))
+        for firing in dict.fromkeys(firings)
+    }
+    ids = np.fromiter(map(table_of.__getitem__, firings), dtype=np.intp, count=len(firings))
+    return tuple(tables), ids
 
 
 @dataclass(eq=False, frozen=True)
@@ -125,26 +182,40 @@ class SiteClass:
 
 @dataclass(eq=False, frozen=True)
 class SoaPlan:
-    """One :class:`ExecutionPlan` lowered to contiguous per-kind buffers."""
+    """One :class:`ExecutionPlan` lowered to contiguous per-kind buffers and
+    a wave schedule over SSA state columns."""
 
     plan: ExecutionPlan
+    golden: GoldenSchedule
 
-    # Whole-tape dispatch: step i is kind step_kind[i], entry step_slot[i]
-    # of that kind's arrays.
+    # Whole-tape map: step i is kind step_kind[i], entry step_slot[i] of
+    # that kind's arrays.
     step_kind: np.ndarray   # (n_steps,) int8
     step_slot: np.ndarray   # (n_steps,) intp
 
-    # Gate tape (CSR over firings).
-    tables: Tuple[Tuple[str, int, Optional[int]], ...]
+    # State columns: phys[c] is the plan column behind state column c.
+    phys: np.ndarray               # (n_state_cols,) int32
+    output_state_cols: np.ndarray  # (n_outputs,) final version of each output
+
+    # Gate tape in wave-schedule order (CSR over firings, state columns).
+    tables: Tuple[TableKey, ...]
     gate_table_id: np.ndarray     # (n_gates,) intp → tables
     gate_op_index: np.ndarray     # (n_gates,) int64
     gate_is_metadata: np.ndarray  # (n_gates,) bool
-    gate_logic_level: np.ndarray  # (n_gates,) int64
-    gate_names: Tuple[str, ...]
     gate_in_ptr: np.ndarray
     gate_in_cols: np.ndarray
-    gate_out_ptr: np.ndarray
-    gate_out_cols: np.ndarray
+    gate_out_ptr: np.ndarray      # outputs of slot s: n_cols + [ptr[s], ptr[s+1])
+    gate_out_lane_gate: np.ndarray  # (n_out,) int32: firing of each lane in its group
+
+    # Gate groups: slots group_ptr[j]..group_ptr[j+1] share table group_table[j].
+    group_ptr: np.ndarray         # (n_groups + 1,) intp
+    group_table: np.ndarray       # (n_groups,) intp → tables
+
+    # Units, in execution order: a gate group or one barrier step.
+    unit_kind: np.ndarray            # (n_units,) int8
+    unit_slot: np.ndarray            # (n_units,) intp: group or step slot
+    unit_of_step: np.ndarray         # (n_steps,) int32
+    lane_offset_of_step: np.ndarray  # (n_steps,) int32: first lane in the unit block
 
     # Preset tape.
     preset_values: np.ndarray     # (n_presets,) uint8
@@ -155,13 +226,16 @@ class SoaPlan:
     read_ptr: np.ndarray
     read_cols: np.ndarray
 
-    # ECiM check tape: CSR column lists + per-check GF(2) operators and one
-    # concatenated decode table addressed as lut[offset[c] + syndrome].
+    # ECiM check tape: CSR column lists, the covering data columns of every
+    # syndrome bit (the GF(2) operator A^T as lists: bit b of check c is row
+    # ecim_parity_ptr[c] + b of ecim_cover_ptr), per-check syndrome weights
+    # and one concatenated decode table addressed as lut[offset[c] + syndrome].
     ecim_data_ptr: np.ndarray
     ecim_data_cols: np.ndarray
     ecim_parity_ptr: np.ndarray
     ecim_parity_cols: np.ndarray
-    ecim_a_t: Tuple[np.ndarray, ...]      # per check, (d, r) int64
+    ecim_cover_ptr: np.ndarray
+    ecim_cover_cols: np.ndarray
     ecim_weights: Tuple[np.ndarray, ...]  # per check, (r,) int64
     ecim_lut: np.ndarray                  # (sum 2^r, t_max) int64, -1 padded
     ecim_lut_offset: np.ndarray           # (n_checks,) intp
@@ -202,8 +276,18 @@ class SoaPlan:
         return int(self.gate_table_id.shape[0])
 
     @property
+    def n_units(self) -> int:
+        """Dispatches of one execution: gate groups plus barrier steps."""
+        return int(self.unit_kind.shape[0])
+
+    @property
     def n_cols(self) -> int:
         return self.plan.n_cols
+
+    @property
+    def n_state_cols(self) -> int:
+        """Plan columns plus one SSA column per gate output cell."""
+        return int(self.phys.shape[0])
 
     @property
     def n_inputs(self) -> int:
@@ -256,7 +340,7 @@ def _site_classes(
 
     out_step, out_lane = cells(gate)
     out_call = first_call[out_step] + width[out_step] + out_lane
-    is_meta = np.repeat(gate_is_metadata, np.diff(gate_out_ptr))
+    is_meta = gate_is_metadata[slots[out_step]]
     cell_step, cell_lane = cells(preset)
     read_step, read_lane = cells(read)
     # Presets on gate outputs (count-only: the firing overwrites them) and
@@ -279,11 +363,234 @@ def _site_classes(
     )
 
 
+# ---------------------------------------------------------------------- #
+# Wave schedule
+# ---------------------------------------------------------------------- #
+def _renamer(
+    out_cols: np.ndarray, out_steps: np.ndarray, n_cols: int, n_steps: int
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """SSA renaming: gate output cell ``i`` (in ``out_cols`` order) writes
+    state column ``n_cols + i``.  The returned function maps physical
+    columns read at given tape steps to the state column holding their
+    value there — the last cell written to that column at an earlier step,
+    or the column itself if none was."""
+    stride = n_steps + 1
+    keys = out_cols.astype(np.int64) * stride + out_steps
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+
+    def version(cols: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        cols = np.asarray(cols, dtype=np.intp)
+        if not keys.size:
+            return cols
+        last = np.searchsorted(keys, cols * stride + steps) - 1
+        clipped = np.maximum(last, 0)
+        written = (last >= 0) & (keys[clipped] // stride == cols)
+        return np.where(written, n_cols + order[clipped], cols)
+
+    return version
+
+
+def _wave_levels(n_gates: int, consumer: np.ndarray, producer: np.ndarray) -> np.ndarray:
+    """Wave of every gate: one past the latest of its producers (0 without
+    any).  Kahn's peeling over the producer edges: each pass settles one
+    whole wave and only touches the out-edges of that wave, so the cost is
+    one pass per wave of the deepest segment plus O(edges) in total."""
+    level = np.zeros(n_gates, dtype=np.int64)
+    if not consumer.size:
+        return level
+    by_producer = np.argsort(producer, kind="stable")
+    targets = consumer[by_producer]
+    edge_ptr = _ptr(np.bincount(producer, minlength=n_gates))
+    waiting = np.bincount(consumer, minlength=n_gates)
+    wave, depth = np.flatnonzero(waiting == 0), 0
+    while wave.size:
+        level[wave] = depth
+        _, edges = _gather_ranges(edge_ptr, wave)
+        ready, count = np.unique(targets[edges], return_counts=True)
+        waiting[ready] -= count
+        wave, depth = ready[waiting[ready] == 0], depth + 1
+    return level
+
+
+@dataclass(eq=False, frozen=True)
+class GoldenSchedule:
+    """Fault-free evaluation of one netlist, its gates grouped by (logic
+    level, truth table) so each group is one kernel call.
+
+    Signal ``s`` lives in value column ``s``; the two constants follow the
+    last signal (``CONST_ZERO`` then ``CONST_ONE``).  Group ``j`` holds the
+    gates ``group_ptr[j]..group_ptr[j+1]`` of the flat ``in_cols`` (row-major
+    ``(g, k)``) and ``out_cols`` buffers."""
+
+    n_values: int
+    input_cols: np.ndarray   # (n_inputs,) netlist input signals
+    output_cols: np.ndarray  # (n_outputs,) netlist output signals
+    tables: Tuple[TableKey, ...]
+    group_ptr: np.ndarray    # (n_groups + 1,) intp
+    group_table: np.ndarray  # (n_groups,) intp → tables
+    in_ptr: np.ndarray       # (n_gates + 1,) intp, group order
+    in_cols: np.ndarray
+    out_cols: np.ndarray     # (n_gates,) one output signal per gate, group order
+
+
+def golden_schedule(netlist: Netlist) -> GoldenSchedule:
+    """Group a netlist's gates by (logic level, truth table)."""
+    nodes = netlist.gates
+    n_signals = netlist.n_signals
+    tables, table_ids = _table_ids(
+        [(node.gate, len(node.inputs), node.threshold) for node in nodes]
+    )
+    level = np.zeros(len(nodes), dtype=np.intp)
+    for depth, indices in enumerate(netlist.levelize()):
+        level[indices] = depth
+    inputs = [node.inputs for node in nodes]
+    in_ptr = _ptr(np.fromiter(map(len, inputs), dtype=np.intp, count=len(inputs)))
+    in_signals = np.fromiter(chain.from_iterable(inputs), dtype=np.intp, count=in_ptr[-1])
+
+    def value_cols(signals: np.ndarray) -> np.ndarray:
+        constant = np.where(signals == Netlist.CONST_ZERO, n_signals, n_signals + 1)
+        return np.where(signals >= 0, signals, constant)
+
+    order = np.lexsort((table_ids, level))
+    changes = (np.diff(level[order]) != 0) | (np.diff(table_ids[order]) != 0)
+    group_starts = np.flatnonzero(np.concatenate(([len(nodes) > 0], changes)))
+    new_in_ptr, in_source = _gather_ranges(in_ptr, order)
+    outputs = np.fromiter((node.output for node in nodes), dtype=np.intp, count=len(nodes))
+    return GoldenSchedule(
+        n_values=n_signals + 2,
+        input_cols=_frozen(np.asarray(netlist.inputs, dtype=np.intp)),
+        output_cols=_frozen(value_cols(np.asarray(netlist.outputs, dtype=np.intp))),
+        tables=tables,
+        group_ptr=_frozen(np.append(group_starts, len(nodes)).astype(np.intp)),
+        group_table=_frozen(table_ids[order[group_starts]]),
+        in_ptr=_frozen(new_in_ptr),
+        in_cols=_frozen(value_cols(in_signals[in_source])),
+        out_cols=_frozen(outputs[order]),
+    )
+
+
+@dataclass(eq=False, frozen=True)
+class _WaveSchedule:
+    """What :func:`_wave_schedule` hands back to :func:`lower_plan`."""
+
+    order: np.ndarray           # wave-order slot → tape-order gate
+    gate_slot: np.ndarray       # tape-order gate → wave-order slot
+    gate_in_ptr: np.ndarray
+    gate_in_cols: np.ndarray
+    gate_out_ptr: np.ndarray
+    lane_gate: np.ndarray
+    phys: np.ndarray
+    group_ptr: np.ndarray
+    group_table: np.ndarray
+    unit_kind: np.ndarray
+    unit_slot: np.ndarray
+    unit_of_step: np.ndarray
+    lane_offset_of_step: np.ndarray
+    #: State columns of physical columns read at given tape steps.
+    state_cols: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def _wave_schedule(
+    n_cols: int,
+    kinds: np.ndarray,
+    slots: np.ndarray,
+    table_ids: np.ndarray,
+    in_ptr: np.ndarray,
+    in_phys: np.ndarray,
+    out_ptr: np.ndarray,
+    out_phys: np.ndarray,
+) -> _WaveSchedule:
+    """SSA-rename the gate tape (in tape order, with physical columns) and
+    pack it into waves, groups and units."""
+    n_steps = kinds.shape[0]
+    gate_step = np.flatnonzero(kinds == KIND_GATE)
+    n_gates = gate_step.shape[0]
+    in_width, out_width = np.diff(in_ptr), np.diff(out_ptr)
+
+    # Renaming, then each gate's producers in its own segment (the run of
+    # gates between two barriers).
+    version = _renamer(out_phys, np.repeat(gate_step, out_width), n_cols, n_steps)
+    in_state = version(in_phys, np.repeat(gate_step, in_width))
+    segment = np.cumsum(kinds != KIND_GATE)
+    gate_segment = segment[gate_step]
+    fresh = in_state >= n_cols
+    producer = np.repeat(np.arange(n_gates), out_width)[in_state[fresh] - n_cols]
+    consumer = np.repeat(np.arange(n_gates), in_width)[fresh]
+    same = gate_segment[producer] == gate_segment[consumer]
+    level = _wave_levels(n_gates, consumer[same], producer[same])
+    del fresh, producer, consumer, same
+
+    # Wave order: gates sorted by (segment, wave, table), tape order within.
+    order = np.lexsort((table_ids, level, gate_segment))
+    changed = np.diff(gate_segment[order]) != 0
+    changed |= np.diff(level[order]) != 0
+    changed |= np.diff(table_ids[order]) != 0
+    group_starts = np.flatnonzero(np.concatenate(([n_gates > 0], changed)))
+    del level, changed
+    n_groups = group_starts.shape[0]
+    group_ptr = np.append(group_starts, n_gates).astype(np.intp)
+    group_sizes = np.diff(group_ptr)
+    group_of_slot = np.repeat(np.arange(n_groups), group_sizes)
+    gate_slot = np.empty(n_gates, dtype=np.intp)
+    gate_slot[order] = np.arange(n_gates)
+
+    # Renumber the SSA columns into wave order, so each group writes one
+    # contiguous block of state columns.
+    gate_out_ptr, old_cell = _gather_ranges(out_ptr, order)
+    cell_base = np.empty(n_cols + old_cell.shape[0], dtype=np.intp)
+    cell_base[:n_cols] = np.arange(n_cols)
+    cell_base[n_cols + old_cell] = n_cols + np.arange(old_cell.shape[0])
+    gate_in_ptr, in_source = _gather_ranges(in_ptr, order)
+    gate_in_cols = cell_base[in_state[in_source]]
+    del in_state, in_source
+    phys = np.concatenate((np.arange(n_cols), out_phys[old_cell])).astype(np.int32)
+    lane_gate = np.repeat(
+        (np.arange(n_gates) - np.repeat(group_ptr[:-1], group_sizes)).astype(np.int32),
+        np.diff(gate_out_ptr),
+    )
+
+    # Units: each barrier runs before the groups of the segment it opens.
+    barrier_step = np.flatnonzero(kinds != KIND_GATE)
+    n_barriers = barrier_step.shape[0]
+    unit_segment = np.concatenate((segment[barrier_step], gate_segment[order[group_starts]]))
+    is_group = np.arange(n_barriers + n_groups) >= n_barriers
+    unit_order = np.lexsort((is_group, unit_segment))
+    unit_of_entry = np.empty(unit_order.shape[0], dtype=np.int32)
+    unit_of_entry[unit_order] = np.arange(unit_order.shape[0])
+    unit_of_step = np.empty(n_steps, dtype=np.int32)
+    unit_of_step[barrier_step] = unit_of_entry[:n_barriers]
+    unit_of_step[gate_step] = unit_of_entry[n_barriers + group_of_slot[gate_slot]]
+    lane_offset_of_step = np.zeros(n_steps, dtype=np.int32)
+    lane_offset_of_step[gate_step] = (
+        gate_out_ptr[gate_slot] - gate_out_ptr[group_ptr[group_of_slot[gate_slot]]]
+    )
+    unit_kind = np.concatenate((kinds[barrier_step], np.full(n_groups, KIND_GATE, np.int8)))
+    unit_slot = np.concatenate((slots[barrier_step], np.arange(n_groups)))
+
+    return _WaveSchedule(
+        order=order,
+        gate_slot=gate_slot,
+        gate_in_ptr=gate_in_ptr,
+        gate_in_cols=gate_in_cols,
+        gate_out_ptr=gate_out_ptr,
+        lane_gate=lane_gate,
+        phys=phys,
+        group_ptr=group_ptr,
+        group_table=table_ids[order[group_starts]],
+        unit_kind=unit_kind[unit_order],
+        unit_slot=unit_slot[unit_order],
+        unit_of_step=unit_of_step,
+        lane_offset_of_step=lane_offset_of_step,
+        state_cols=lambda cols, steps: cell_base[version(cols, steps)],
+    )
+
+
 def lower_plan(plan: ExecutionPlan) -> SoaPlan:
-    """Lower one compiled instruction tape into its SoA form."""
-    kinds, slots = [], []
-    tables: Dict[Tuple[str, int, Optional[int]], int] = {}
-    gate_table_id, gate_op, gate_meta, gate_level, gate_names = [], [], [], [], []
+    """Lower one compiled instruction tape into its SoA form and wave
+    schedule."""
+    kinds = []
+    gate_firings, gate_op, gate_meta = [], [], []
     gate_ins, gate_outs = [], []
     preset_values, preset_chunks = [], []
     read_chunks = []
@@ -293,27 +600,20 @@ def lower_plan(plan: ExecutionPlan) -> SoaPlan:
     for step in plan.steps:
         if isinstance(step, GateStep):
             kinds.append(KIND_GATE)
-            slots.append(len(gate_table_id))
-            key = _table_key(step)
-            gate_table_id.append(tables.setdefault(key, len(tables)))
+            gate_firings.append((step.gate, step.input_cols.shape[0], step.threshold))
             gate_op.append(step.op_index)
             gate_meta.append(step.is_metadata)
-            gate_level.append(step.logic_level)
-            gate_names.append(step.gate)
             gate_ins.append(step.input_cols)
             gate_outs.append(step.output_cols)
         elif isinstance(step, PresetStep):
             kinds.append(KIND_PRESET)
-            slots.append(len(preset_values))
             preset_values.append(step.value)
             preset_chunks.append(step.columns)
         elif isinstance(step, ReadStep):
             kinds.append(KIND_READ)
-            slots.append(len(read_chunks))
             read_chunks.append(step.columns)
         elif isinstance(step, EcimCheckStep):
             kinds.append(KIND_ECIM)
-            slots.append(len(ecim_data))
             ecim_data.append(step.data_cols)
             ecim_parity.append(step.parity_cols)
             ecim_a_t.append(step.a_t)
@@ -321,20 +621,59 @@ def lower_plan(plan: ExecutionPlan) -> SoaPlan:
             ecim_luts.append(step.lut)
         elif isinstance(step, TrimCheckStep):
             kinds.append(KIND_TRIM)
-            slots.append(len(trim_data))
             trim_data.append(step.data_cols)
             trim_groups.append(tuple(step.copy_col_groups))
             trim_copies.append(step.n_copies)
         else:  # pragma: no cover - defensive
             raise ProtectionError(f"unknown plan step {type(step).__name__}")
 
-    gate_in_ptr, gate_in_cols = _csr(gate_ins)
-    gate_out_ptr, gate_out_cols = _csr(gate_outs)
-    preset_ptr, preset_cols = _csr(preset_chunks)
-    read_ptr, read_cols = _csr(read_chunks)
-    ecim_data_ptr, ecim_data_cols = _csr(ecim_data)
-    ecim_parity_ptr, ecim_parity_cols = _csr(ecim_parity)
-    trim_data_ptr, trim_data_cols = _csr(trim_data)
+    n_steps = len(kinds)
+    kind_array = np.asarray(kinds, dtype=np.int8)
+    del kinds
+    # Slots count each kind's steps in tape order; gate slots are
+    # renumbered into wave order once the schedule exists.
+    slot_array = np.zeros(n_steps, dtype=np.intp)
+    step_of = {}
+    for kind in (KIND_GATE, KIND_PRESET, KIND_READ, KIND_ECIM, KIND_TRIM):
+        step_of[kind] = np.flatnonzero(kind_array == kind)
+        slot_array[step_of[kind]] = np.arange(step_of[kind].shape[0])
+
+    tables, table_ids = _table_ids(gate_firings)
+    gate_meta_array = np.asarray(gate_meta, dtype=bool)
+    del gate_firings, gate_meta
+    out_ptr, out_phys = _csr(gate_outs)
+    preset_ptr, preset_phys = _csr(preset_chunks)
+    read_ptr, read_phys = _csr(read_chunks)
+    gate_sites, meta_sites, preset_sites, read_sites = _site_classes(
+        kind_array, slot_array, gate_meta_array, out_ptr, preset_ptr, read_ptr
+    )
+    in_ptr, in_phys = _csr(gate_ins)
+    del gate_ins, gate_outs
+    schedule = _wave_schedule(
+        plan.n_cols, kind_array, slot_array, table_ids, in_ptr, in_phys, out_ptr, out_phys
+    )
+    del in_ptr, in_phys, out_ptr, out_phys
+    order = schedule.order
+    slot_array[step_of[KIND_GATE]] = schedule.gate_slot
+
+    def barrier_cols(ptr, cols, steps):
+        """Barrier columns read the versions live at their step."""
+        return _frozen(schedule.state_cols(cols, np.repeat(steps, np.diff(ptr))))
+
+    ecim_data_ptr, ecim_data_phys = _csr(ecim_data)
+    ecim_parity_ptr, ecim_parity_phys = _csr(ecim_parity)
+    trim_data_ptr, trim_data_phys = _csr(trim_data)
+    ecim_data_cols = barrier_cols(ecim_data_ptr, ecim_data_phys, step_of[KIND_ECIM])
+    # Each syndrome bit's covering data columns, bit-major per check.
+    cover_chunks, cover_widths = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for check, a_t in enumerate(ecim_a_t):
+        bits, rows = np.nonzero(a_t.T)
+        cover_chunks.append(ecim_data_cols[ecim_data_ptr[check] + rows])
+        cover_widths.append(np.bincount(bits, minlength=a_t.shape[1]))
+    copy_ptr, copy_phys = _csr([cols for groups in trim_groups for cols in groups])
+    copy_step = np.repeat(step_of[KIND_TRIM], [len(groups) for groups in trim_groups])
+    copy_cols = iter(np.split(barrier_cols(copy_ptr, copy_phys, copy_step), copy_ptr[1:-1]))
+    trim_copy_groups = tuple(tuple(next(copy_cols) for _ in groups) for groups in trim_groups)
 
     # Concatenate the per-check decode tables (-1 padded to the widest
     # correction capability) so a flat interpreter can address row
@@ -349,16 +688,7 @@ def lower_plan(plan: ExecutionPlan) -> SoaPlan:
         ecim_lut[row:row + lut.shape[0], : lut.shape[1]] = lut
         row += lut.shape[0]
 
-    # Inverse gate maps: slots were appended in tape order, so gate slot s
-    # is the s-th KIND_GATE step of the dispatch array.
-    kind_array = np.asarray(kinds, dtype=np.int8)
-    slot_array = np.asarray(slots, dtype=np.intp)
-    gate_meta_array = np.asarray(gate_meta, dtype=bool)
-    gate_sites, meta_sites, preset_sites, read_sites = _site_classes(
-        kind_array, slot_array, gate_meta_array, gate_out_ptr, preset_ptr, read_ptr
-    )
-    gate_step_index = np.flatnonzero(kind_array == KIND_GATE).astype(np.intp)
-    op_array = np.asarray(gate_op, dtype=np.int64)
+    op_array = np.asarray(gate_op, dtype=np.int64)[order]
     slot_of_op = np.full(
         int(op_array.max()) + 1 if op_array.size else 0, -1, dtype=np.intp
     )
@@ -367,39 +697,49 @@ def lower_plan(plan: ExecutionPlan) -> SoaPlan:
 
     return SoaPlan(
         plan=plan,
+        golden=golden_schedule(plan.netlist),
         step_kind=_frozen(kind_array),
         step_slot=_frozen(slot_array),
-        tables=tuple(tables),
-        gate_table_id=_frozen(np.asarray(gate_table_id, dtype=np.intp)),
-        gate_op_index=_frozen(np.asarray(gate_op, dtype=np.int64)),
-        gate_is_metadata=_frozen(gate_meta_array),
-        gate_logic_level=_frozen(np.asarray(gate_level, dtype=np.int64)),
-        gate_names=tuple(gate_names),
-        gate_in_ptr=gate_in_ptr,
-        gate_in_cols=gate_in_cols,
-        gate_out_ptr=gate_out_ptr,
-        gate_out_cols=gate_out_cols,
+        phys=_frozen(schedule.phys),
+        output_state_cols=_frozen(
+            schedule.state_cols(plan.output_cols, np.full(plan.n_outputs, n_steps))
+        ),
+        tables=tables,
+        gate_table_id=_frozen(table_ids[order]),
+        gate_op_index=_frozen(op_array),
+        gate_is_metadata=_frozen(gate_meta_array[order]),
+        gate_in_ptr=_frozen(schedule.gate_in_ptr),
+        gate_in_cols=_frozen(schedule.gate_in_cols),
+        gate_out_ptr=_frozen(schedule.gate_out_ptr),
+        gate_out_lane_gate=_frozen(schedule.lane_gate),
+        group_ptr=_frozen(schedule.group_ptr),
+        group_table=_frozen(schedule.group_table),
+        unit_kind=_frozen(schedule.unit_kind),
+        unit_slot=_frozen(schedule.unit_slot),
+        unit_of_step=_frozen(schedule.unit_of_step),
+        lane_offset_of_step=_frozen(schedule.lane_offset_of_step),
         preset_values=_frozen(np.asarray(preset_values, dtype=np.uint8)),
-        preset_ptr=preset_ptr,
-        preset_cols=preset_cols,
-        read_ptr=read_ptr,
-        read_cols=read_cols,
-        ecim_data_ptr=ecim_data_ptr,
+        preset_ptr=_frozen(preset_ptr),
+        preset_cols=barrier_cols(preset_ptr, preset_phys, step_of[KIND_PRESET]),
+        read_ptr=_frozen(read_ptr),
+        read_cols=barrier_cols(read_ptr, read_phys, step_of[KIND_READ]),
+        ecim_data_ptr=_frozen(ecim_data_ptr),
         ecim_data_cols=ecim_data_cols,
-        ecim_parity_ptr=ecim_parity_ptr,
-        ecim_parity_cols=ecim_parity_cols,
-        ecim_a_t=tuple(ecim_a_t),
+        ecim_parity_ptr=_frozen(ecim_parity_ptr),
+        ecim_parity_cols=barrier_cols(ecim_parity_ptr, ecim_parity_phys, step_of[KIND_ECIM]),
+        ecim_cover_ptr=_frozen(_ptr(np.concatenate(cover_widths))),
+        ecim_cover_cols=_frozen(np.concatenate(cover_chunks)),
         ecim_weights=tuple(ecim_weights),
         ecim_lut=_frozen(ecim_lut),
         ecim_lut_offset=_frozen(ecim_lut_offset),
-        trim_data_ptr=trim_data_ptr,
-        trim_data_cols=trim_data_cols,
-        trim_copy_groups=tuple(trim_groups),
+        trim_data_ptr=_frozen(trim_data_ptr),
+        trim_data_cols=barrier_cols(trim_data_ptr, trim_data_phys, step_of[KIND_TRIM]),
+        trim_copy_groups=trim_copy_groups,
         trim_n_copies=_frozen(np.asarray(trim_copies, dtype=np.int64)),
         gate_sites=gate_sites,
         meta_sites=meta_sites,
         preset_sites=preset_sites,
         read_sites=read_sites,
-        gate_step_index=_frozen(gate_step_index),
+        gate_step_index=_frozen(step_of[KIND_GATE][order]),
         gate_slot_of_op=_frozen(slot_of_op),
     )

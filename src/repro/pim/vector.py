@@ -6,9 +6,10 @@ far too slow for Monte-Carlo campaigns that execute the same gate schedule
 thousands of times.  This module provides the vectorized counterpart: every
 native gate becomes a *truth-table lookup* over a ``(B, n_inputs)`` bit
 matrix, producing all B trials' outputs in one numpy operation.  The
-bit-packed tape engine (:mod:`repro.core.bitpacked`) compiles its word-op
-programs from these truth tables and falls back to
-:func:`vector_gate_output` for gates wider than :data:`TABLE_MAX_INPUTS`.
+bit-packed tape engine (:mod:`repro.core.bitpacked`) evaluates the same
+semantics as bit-sliced group kernels, which its tests check exhaustively
+against these truth tables (and against :func:`vector_gate_output` for
+gates wider than :data:`TABLE_MAX_INPUTS`).
 
 The truth tables themselves are generated by calling the scalar
 :func:`~repro.pim.gates.gate_output` on every input combination, so the

@@ -1,12 +1,14 @@
-"""Bit-packed engine tests: transposition properties, SoA lowering, word-op
-gate semantics, and cross-backend byte-identity on ragged batches.
+"""Bit-packed engine tests: transposition properties, SoA lowering and its
+wave schedule, group-kernel gate semantics, and cross-backend
+byte-identity on ragged batches.
 
 The systematic cross-backend grid lives in ``tests/differential/``; this
 module owns the engine-local properties that grid cannot see — the
 pack/unpack transposition contract (tail lanes of ragged batches, packed
-XOR vs uint8 XOR), the SoA lowering invariants, and the skip-sampled
-fault stream's engine-local properties (reproducible,
-batch-composition-invariant, statistically faithful).
+XOR vs uint8 XOR), exhaustive group-kernel truth tables, the SoA lowering
+and schedule invariants (SSA columns, waves, unit-keyed lanes, dispatch
+budgets), and the skip-sampled fault stream's engine-local properties
+(reproducible, batch-composition-invariant, statistically faithful).
 """
 
 import numpy as np
@@ -19,7 +21,7 @@ from repro.core.backend import BitpackedBackend, derive_seed, make_backend
 from repro.core.batched import compile_plan, sample_input_matrix
 from repro.core.bitpacked import (
     WORD_BITS,
-    _gate_words,
+    _group_kernel,
     lane_mask,
     n_words,
     pack_trials,
@@ -34,9 +36,10 @@ from repro.core.soa import (
     KIND_TRIM,
     lower_plan,
 )
-from repro.errors import ProtectionError
+from repro.errors import GateOperandError, ProtectionError
 from repro.pim.faults import FaultModelSpec
-from repro.pim.vector import truth_table
+from repro.pim.gates import GateType
+from repro.pim.vector import TABLE_MAX_INPUTS, truth_table, vector_gate_output
 
 OUTCOME_FIELDS = (
     "outputs_correct",
@@ -132,41 +135,191 @@ class TestPackUnpack:
 
 
 # ---------------------------------------------------------------------- #
-# Word-op gate programs
+# Group kernels
 # ---------------------------------------------------------------------- #
-class TestGateWordPrograms:
-    @pytest.mark.parametrize("gate", ["nor", "nand", "maj", "thr"])
-    @pytest.mark.parametrize("n_inputs", [2, 3, 4])
-    def test_word_programs_match_truth_tables(self, gate, n_inputs):
-        if gate == "maj" and n_inputs % 2 == 0:
-            pytest.skip("majority needs an odd fan-in")
-        if gate == "thr" and n_inputs < 3:
-            pytest.skip("the default THR threshold of 3 needs fan-in >= 3")
-        table = truth_table(gate, n_inputs, 3 if gate == "thr" else None)
-        # All input combinations at once, one trial per combination.
-        combos = np.array(
-            [[(i >> j) & 1 for j in range(n_inputs)] for i in range(1 << n_inputs)],
-            dtype=np.uint8,
-        )
-        operands = pack_trials(combos)
-        out = _gate_words(gate, operands, None)
-        got = unpack_trials(out[:, None], combos.shape[0])[:, 0]
-        assert np.array_equal(got, table)
+def _valid_tables(fan_ins):
+    """Every valid native (gate, fan-in, threshold) over ``fan_ins``."""
+    for k in fan_ins:
+        yield (GateType.NOR, k, None)
+        yield (GateType.NAND, k, None)
+        if k == 1:
+            yield (GateType.NOT, k, None)
+            yield (GateType.COPY, k, None)
+        if k % 2:
+            yield (GateType.MAJ, k, None)
+        for threshold in range(1, k + 1):
+            yield (GateType.THR, k, threshold)
 
-    @pytest.mark.parametrize("gate", ["not", "copy"])
-    def test_unary_programs(self, gate):
-        bits = np.array([[0], [1], [1], [0]], dtype=np.uint8)
-        out = _gate_words(gate, pack_trials(bits), None)
-        got = unpack_trials(out[:, None], 4)[:, 0]
-        expected = bits[:, 0] if gate == "copy" else 1 - bits[:, 0]
-        assert np.array_equal(got, expected)
+
+def _table_id(table):
+    gate, k, threshold = table
+    return f"{gate}{k}" + ("" if threshold is None else f"t{threshold}")
+
+
+#: Operand block shapes (W words, g firings) every kernel is checked at.
+KERNEL_SHAPES = ((1, 1), (1, 5), (3, 1), (3, 5))
+
+
+def _kernel_bits(table, combos, words, gates):
+    """Run one kernel on ``combos`` (input-combination indices) laid out as
+    ``(W, g, k)`` operand blocks; returns the output bit of every combo."""
+    gate, k, threshold = table
+    kernel = _group_kernel(gate, k, threshold)
+    block = words * WORD_BITS * gates
+    padded = np.resize(combos, -(-combos.shape[0] // block) * block)
+    outputs = []
+    for start in range(0, padded.shape[0], block):
+        chunk = padded[start:start + block].reshape(gates, words * WORD_BITS).T
+        bits = ((chunk[..., None] >> np.arange(k)) & 1).astype(np.uint8)
+        operands = pack_trials(bits.reshape(words * WORD_BITS, gates * k))
+        out = kernel(operands.reshape(words, gates, k))
+        assert out.shape == (words, gates)
+        outputs.append(unpack_trials(out, words * WORD_BITS).T.reshape(-1))
+    return np.concatenate(outputs)[: combos.shape[0]]
+
+
+class TestGroupKernels:
+    """Every native gate at every fan-in the engine can meet, against the
+    scalar model's truth tables (fan-in 1-12) and the arithmetic vector
+    semantics beyond them (fan-in 13-16)."""
+
+    @pytest.mark.parametrize(
+        "table", list(_valid_tables(range(1, TABLE_MAX_INPUTS + 1))), ids=_table_id
+    )
+    def test_kernel_matches_truth_table(self, table):
+        gate, k, threshold = table
+        expected = truth_table(gate, k, threshold)
+        combos = np.arange(1 << k)
+        for words, gates in KERNEL_SHAPES:
+            got = _kernel_bits(table, combos, words, gates)
+            assert np.array_equal(got, expected), (words, gates)
+
+    @pytest.mark.parametrize("k", range(TABLE_MAX_INPUTS + 1, 17))
+    def test_wide_kernels_match_vector_semantics(self, k):
+        combos = np.random.default_rng(k).integers(0, 1 << k, size=700)
+        # Every popcount a threshold can split on, not just random ones.
+        combos = np.concatenate((combos, (1 << np.arange(k + 1)) - 1))
+        bits = ((combos[:, None] >> np.arange(k)) & 1).astype(np.uint8)
+        for table in _valid_tables([k]):
+            gate, _, threshold = table
+            expected = vector_gate_output(gate, bits, threshold)
+            for words, gates in KERNEL_SHAPES:
+                got = _kernel_bits(table, combos, words, gates)
+                assert np.array_equal(got, expected), (table, words, gates)
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            ("thr", 4, 0),
+            ("thr", 4, 5),
+            ("maj", 4, None),
+            ("not", 2, None),
+            ("copy", 2, None),
+            ("nor", 0, None),
+            ("xor", 2, None),
+        ],
+        ids=_table_id,
+    )
+    def test_invalid_tables_are_rejected(self, table):
+        with pytest.raises(GateOperandError):
+            _group_kernel(*table)
+
+    def test_default_threshold_is_three(self):
+        combos = np.arange(16)
+        assert np.array_equal(
+            _kernel_bits(("thr", 4, None), combos, 1, 1), truth_table("thr", 4, 3)
+        )
 
 
 # ---------------------------------------------------------------------- #
 # SoA lowering invariants
 # ---------------------------------------------------------------------- #
+def _assert_schedule_invariants(soa):
+    """The wave schedule is a valid reordering of the tape: every gate in
+    one group, groups read only what earlier groups wrote, lanes tile each
+    block once, and state columns map back to the plan's columns."""
+    n_cols, n_gates = soa.n_cols, soa.n_gate_steps
+    group_ptr, out_ptr = soa.group_ptr, soa.gate_out_ptr
+    gate_steps = np.flatnonzero(soa.step_kind == KIND_GATE)
+    slots = soa.step_slot[gate_steps]
+    # Every gate step lies in exactly one group: slots are a permutation of
+    # the gate tape, the groups tile it, and each step's unit is its group.
+    assert np.array_equal(np.sort(slots), np.arange(n_gates))
+    assert group_ptr[0] == 0 and group_ptr[-1] == n_gates
+    assert np.all(np.diff(group_ptr) > 0)
+    group_of_slot = np.searchsorted(group_ptr, np.arange(n_gates), side="right") - 1
+    units = soa.unit_of_step[gate_steps]
+    assert np.all(soa.unit_kind[units] == KIND_GATE)
+    assert np.array_equal(soa.unit_slot[units], group_of_slot[slots])
+    assert np.array_equal(soa.gate_table_id, soa.group_table[group_of_slot])
+    assert np.array_equal(soa.gate_step_index[slots], gate_steps)
+    # Each group and barrier is exactly one unit, barriers in tape order.
+    group_units = np.flatnonzero(soa.unit_kind == KIND_GATE)
+    assert np.array_equal(soa.unit_slot[group_units], np.arange(group_ptr.shape[0] - 1))
+    barrier_steps = np.flatnonzero(soa.step_kind != KIND_GATE)
+    assert np.all(np.diff(soa.unit_of_step[barrier_steps]) > 0)
+    assert soa.n_units == group_units.shape[0] + barrier_steps.shape[0]
+    # No group reads an SSA column written by itself or a later group.
+    reader = np.repeat(group_of_slot, np.diff(soa.gate_in_ptr))
+    fresh = soa.gate_in_cols >= n_cols
+    writer_slot = np.searchsorted(out_ptr, soa.gate_in_cols[fresh] - n_cols, side="right") - 1
+    assert np.all(group_of_slot[writer_slot] < reader[fresh])
+    # ... and every gate runs after the barriers before it, before the ones after.
+    segment = np.cumsum(soa.step_kind != KIND_GATE)
+    unit_segment = np.maximum.accumulate(
+        np.bincount(soa.unit_of_step[barrier_steps], weights=segment[barrier_steps],
+                    minlength=soa.n_units)
+    )
+    assert np.array_equal(unit_segment[units], segment[gate_steps])
+    # Lane offsets tile each group's output block exactly once.
+    widths = np.diff(out_ptr)[slots]
+    lanes = np.repeat(soa.lane_offset_of_step[gate_steps], widths) + (
+        np.arange(widths.sum()) - np.repeat(np.cumsum(widths) - widths, widths)
+    )
+    lane_units = np.repeat(units, widths)
+    order = np.lexsort((lanes, lane_units))
+    block_width = np.diff(out_ptr[group_ptr])
+    block_start = np.repeat(np.cumsum(block_width) - block_width, block_width)
+    assert np.array_equal(lanes[order], np.arange(lanes.shape[0]) - block_start)
+    # A group's lane repeat names the firing each output lane belongs to.
+    lane_slot = np.searchsorted(out_ptr, np.arange(out_ptr[-1]), side="right") - 1
+    assert np.array_equal(
+        soa.gate_out_lane_gate, lane_slot - group_ptr[group_of_slot[lane_slot]]
+    )
+    # State columns map back to the plan's physical columns.
+    assert soa.n_state_cols == n_cols + out_ptr[-1]
+    assert np.array_equal(soa.phys[:n_cols], np.arange(n_cols))
+    for step_index, step in enumerate(soa.plan.steps):
+        slot = soa.step_slot[step_index]
+        kind = soa.step_kind[step_index]
+        if kind == KIND_GATE:
+            ins = soa.gate_in_cols[soa.gate_in_ptr[slot]:soa.gate_in_ptr[slot + 1]]
+            assert np.array_equal(soa.phys[ins], step.input_cols)
+            outs = n_cols + np.arange(out_ptr[slot], out_ptr[slot + 1])
+            assert np.array_equal(soa.phys[outs], step.output_cols)
+        elif kind == KIND_PRESET:
+            cols = soa.preset_cols[soa.preset_ptr[slot]:soa.preset_ptr[slot + 1]]
+            assert np.array_equal(soa.phys[cols], step.columns)
+        elif kind == KIND_READ:
+            cols = soa.read_cols[soa.read_ptr[slot]:soa.read_ptr[slot + 1]]
+            assert np.array_equal(soa.phys[cols], step.columns)
+        elif kind == KIND_ECIM:
+            data = soa.ecim_data_cols[soa.ecim_data_ptr[slot]:soa.ecim_data_ptr[slot + 1]]
+            parity = soa.ecim_parity_cols[
+                soa.ecim_parity_ptr[slot]:soa.ecim_parity_ptr[slot + 1]
+            ]
+            assert np.array_equal(soa.phys[data], step.data_cols)
+            assert np.array_equal(soa.phys[parity], step.parity_cols)
+        else:
+            data = soa.trim_data_cols[soa.trim_data_ptr[slot]:soa.trim_data_ptr[slot + 1]]
+            assert np.array_equal(soa.phys[data], step.data_cols)
+            for cols, plan_cols in zip(soa.trim_copy_groups[slot], step.copy_col_groups):
+                assert np.array_equal(soa.phys[cols], plan_cols)
+    assert np.array_equal(soa.phys[soa.output_state_cols], soa.plan.output_cols)
+
+
 class TestSoaLowering:
-    @pytest.fixture(scope="class", params=["ecim", "trim"])
+    @pytest.fixture(scope="class", params=["unprotected", "ecim", "trim"])
     def soa(self, request):
         netlist = get_campaign_workload("dot2").netlist
         return lower_plan(compile_plan(netlist, request.param))
@@ -175,29 +328,36 @@ class TestSoaLowering:
         assert soa.n_steps == len(soa.plan.steps)
         kinds = set(soa.step_kind.tolist())
         assert kinds <= {KIND_GATE, KIND_PRESET, KIND_READ, KIND_ECIM, KIND_TRIM}
-        # Slots are dense per kind: the last slot of each kind indexes its
-        # tape's final entry.
         assert soa.n_gate_steps == int((soa.step_kind == KIND_GATE).sum())
 
     def test_gate_tape_mirrors_plan_steps(self, soa):
         from repro.core.batched import GateStep
 
-        gate_steps = [s for s in soa.plan.steps if isinstance(s, GateStep)]
-        assert soa.n_gate_steps == len(gate_steps)
-        for slot, step in enumerate(gate_steps):
-            assert np.array_equal(
-                soa.gate_in_cols[soa.gate_in_ptr[slot]:soa.gate_in_ptr[slot + 1]],
-                step.input_cols,
-            )
-            assert np.array_equal(
-                soa.gate_out_cols[soa.gate_out_ptr[slot]:soa.gate_out_ptr[slot + 1]],
-                step.output_cols,
-            )
+        for index, step in enumerate(soa.plan.steps):
+            if not isinstance(step, GateStep):
+                continue
+            slot = soa.step_slot[index]
             assert soa.gate_op_index[slot] == step.op_index
             assert soa.gate_is_metadata[slot] == step.is_metadata
             table = soa.tables[soa.gate_table_id[slot]]
             assert table[0] == step.gate
             assert table[1] == step.input_cols.shape[0]
+            assert soa.gate_out_ptr[slot + 1] - soa.gate_out_ptr[slot] == len(step.output_cols)
+
+    def test_schedule_invariants(self, soa):
+        _assert_schedule_invariants(soa)
+
+    def test_ecim_cover_lists_follow_a_t(self, soa):
+        from repro.core.batched import EcimCheckStep
+
+        checks = [step for step in soa.plan.steps if isinstance(step, EcimCheckStep)]
+        for check, a_t in enumerate(step.a_t for step in checks):
+            data = soa.ecim_data_cols[soa.ecim_data_ptr[check]:soa.ecim_data_ptr[check + 1]]
+            first_bit = soa.ecim_parity_ptr[check]
+            for bit in range(a_t.shape[1]):
+                lo, hi = soa.ecim_cover_ptr[first_bit + bit:first_bit + bit + 2]
+                expected = data[np.flatnonzero(a_t[:, bit])]
+                assert np.array_equal(soa.ecim_cover_cols[lo:hi], expected)
 
     def test_tables_are_deduplicated(self, soa):
         assert len(soa.tables) == len(set(soa.tables))
@@ -226,7 +386,48 @@ class TestSoaLowering:
         with pytest.raises(ValueError):
             soa.step_kind[0] = 0
         with pytest.raises(ValueError):
-            soa.gate_out_cols[0] = 0
+            soa.gate_in_cols[0] = 0
+        with pytest.raises(ValueError):
+            soa.unit_of_step[0] = 0
+
+    def test_in_place_firings_read_the_previous_version(self):
+        # A firing that overwrites one of its own input columns reads the
+        # value from before the step, and a later reader in the same segment
+        # sees the new one: NOR(a, b) into a's column, then NOT in place.
+        from repro.compiler.netlist import Netlist
+        from repro.core.batched import ExecutionPlan, GateStep
+
+        netlist = Netlist("in-place-or")
+        a, b = netlist.add_inputs(2)
+        netlist.mark_output(netlist.add_gate("not", [netlist.add_gate("nor", [a, b])]))
+        cols = lambda *c: np.asarray(c, dtype=np.intp)  # noqa: E731
+        plan = ExecutionPlan(
+            scheme="unprotected", multi_output=True, n_cols=3, netlist=netlist,
+            input_cols=cols(0, 1), output_cols=cols(0), const1_col=2,
+            steps=(
+                GateStep(0, "nor", cols(0, 1), cols(0), None, False, 1),
+                GateStep(1, "not", cols(0), cols(0), None, False, 2),
+            ),
+            n_gate_ops=2,
+        )
+        soa = lower_plan(plan)
+        _assert_schedule_invariants(soa)
+        assert soa.n_units == 2
+        combos = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8)
+        result = run_packed(soa, combos)
+        assert result.outputs[:, 0].tolist() == [0, 1, 1, 1]
+        assert result.outputs_correct.all()
+
+    #: Dispatch budgets of the mlp16 schedules: fusion must not silently
+    #: degrade (the per-step tapes are 5,112 / 39,534 / 5,432 steps long).
+    MLP16_UNIT_BUDGETS = {"unprotected": 200, "ecim": 6500, "trim": 500}
+
+    @pytest.mark.parametrize("scheme", sorted(MLP16_UNIT_BUDGETS))
+    def test_mlp16_dispatch_budget(self, scheme):
+        netlist = get_campaign_workload("mlp16").netlist
+        soa = lower_plan(compile_plan(netlist, scheme))
+        assert soa.n_units <= self.MLP16_UNIT_BUDGETS[scheme], soa.n_units
+        _assert_schedule_invariants(soa)
 
 
 # ---------------------------------------------------------------------- #

@@ -82,21 +82,24 @@ class TestFaultPlanArrays:
         events, faults = _deterministic_schedule(
             soa, FaultPlanArrays.from_dicts(plans), len(plans)
         )
+        # Events are keyed by (unit, lane in the unit's output block).
         expected = {}
         for trial, plan in enumerate(plans):
             for op, positions in plan.items():
                 slot = int(soa.gate_slot_of_op[op])
                 width = int(soa.gate_out_ptr[slot + 1] - soa.gate_out_ptr[slot])
                 step = int(soa.gate_step_index[slot])
+                unit = int(soa.unit_of_step[step])
+                offset = int(soa.lane_offset_of_step[step])
                 for position in np.atleast_1d(positions):
                     if position < width:
-                        expected.setdefault(step, set()).add((trial, int(position)))
+                        expected.setdefault(unit, set()).add((trial, offset + int(position)))
         decoded = {
-            step: {
+            unit: {
                 (int(word) * 64 + int(bit).bit_length() - 1, int(lane))
                 for word, lane, bit in zip(group.words, group.lanes, group.bits)
             }
-            for step, group in events.items()
+            for unit, group in events.items()
         }
         assert decoded == expected
         counts = [sum(trial == t for pairs in expected.values() for t, _ in pairs)

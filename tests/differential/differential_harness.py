@@ -141,7 +141,7 @@ BACKEND_FACTORIES = {
 }
 
 WORKLOADS = ("and2", "dot2", "fft4")
-SCHEMES = ("ecim", "trim")
+SCHEMES = ("unprotected", "ecim", "trim")
 GATE_STYLES = (True, False)  # multi-output vs single-output
 MODEL_KINDS = ("stochastic", "burst", "stuck-at", "stuck-at-0", "plan")
 TRIALS = 16
@@ -155,10 +155,17 @@ TRIAL_COUNTS = {"mlp16": 4}
 
 #: The grid, with human-readable pytest ids.  The full product covers the
 #: cheap workloads (fft4's 200-gate netlist rides along at full width);
-#: mlp16 joins as a single runtime-bounded cell that still exercises every
-#: fault model and every candidate backend.
-GRID = tuple(itertools.product(WORKLOADS, SCHEMES, GATE_STYLES)) + (
+#: ``unprotected`` tapes fuse into the widest gate waves, so they are
+#: checked too, in one gate style (both compile the same unprotected tape).
+#: mlp16 joins as two runtime-bounded cells, ECiM and TRiM, that still
+#: exercise every fault model and every candidate backend.
+GRID = tuple(
+    cell
+    for cell in itertools.product(WORKLOADS, SCHEMES, GATE_STYLES)
+    if cell[1] != "unprotected" or cell[2]
+) + (
     ("mlp16", "ecim", True),
+    ("mlp16", "trim", True),
 )
 
 

@@ -38,9 +38,9 @@ CANDIDATES = tuple(sorted(BACKEND_FACTORIES))
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 class TestByteIdenticalOutcomes:
     """Acceptance: byte-identical TrialOutcomes for all five fault models on
-    the arithmetic workloads x both schemes (x both gate styles) plus the
-    application netlists (fft4 full-width, mlp16 runtime-bounded), shared
-    trial seeds."""
+    the arithmetic workloads x all three schemes (x both gate styles) plus
+    the application netlists (fft4 full-width, mlp16 ECiM and TRiM
+    runtime-bounded), shared trial seeds."""
 
     def test_outcomes_byte_identical(self, cell, kind, candidate):
         reference = cell.reference_outcomes(kind)

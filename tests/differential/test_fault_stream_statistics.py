@@ -188,11 +188,18 @@ def _burst_flip_ops(backend_name, workload, trials):
     if backend_name == "bitpacked":
         events, _ = _burst_schedule(soa, BURST, seeds, trials)
         flips = []  # (trial, step, lane, operation index)
-        for step, step_events in events.items():
-            op = int(soa.gate_op_index[soa.step_slot[step]])
-            for word, lane, bit in zip(
-                step_events.words.tolist(), step_events.lanes.tolist(), step_events.bits.tolist()
+        for unit, unit_events in events.items():
+            # Map each lane of the gate group's output block back to its
+            # firing's tape step and output lane.
+            block = soa.gate_out_ptr[soa.group_ptr[soa.unit_slot[unit]]] + unit_events.lanes
+            slots = np.searchsorted(soa.gate_out_ptr, block, side="right") - 1
+            steps = soa.gate_step_index[slots]
+            lanes = unit_events.lanes - soa.lane_offset_of_step[steps]
+            for word, bit, slot, step, lane in zip(
+                unit_events.words.tolist(), unit_events.bits.tolist(),
+                slots.tolist(), steps.tolist(), lanes.tolist(),
             ):
+                op = int(soa.gate_op_index[slot])
                 flips.append((word * 64 + bit.bit_length() - 1, step, lane, op))
         per_trial = [[] for _ in range(trials)]
         for trial, _, _, op in sorted(flips):  # scalar call order per trial
