@@ -99,6 +99,7 @@ class Netlist:
         self._gates: List[GateNode] = []
         self._producer: Dict[int, int] = {}  # signal -> gate index
         self._levels_cache: Optional[List[List[int]]] = None
+        self._gates_cache: Optional[Tuple[GateNode, ...]] = None
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -148,6 +149,7 @@ class Netlist:
         self._gates.append(node)
         self._producer[output] = node.index
         self._levels_cache = None
+        self._gates_cache = None
         return output
 
     def mark_output(self, signal: int, name: Optional[str] = None) -> None:
@@ -170,7 +172,12 @@ class Netlist:
 
     @property
     def gates(self) -> Tuple[GateNode, ...]:
-        return tuple(self._gates)
+        """Every gate in topological (append) order.  The tuple is cached
+        until the next structural change, so indexing it per gate stays
+        O(1)."""
+        if self._gates_cache is None:
+            self._gates_cache = tuple(self._gates)
+        return self._gates_cache
 
     @property
     def n_signals(self) -> int:

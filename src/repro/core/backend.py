@@ -48,7 +48,7 @@ from typing import Callable, ClassVar, Dict, List, Mapping, Optional, Sequence, 
 import numpy as np
 
 from repro.compiler.netlist import Netlist
-from repro.core.batched import ExecutionPlan, GateStep, compile_plan
+from repro.core.batched import GATE_NAMES, ExecutionPlan, compile_plan
 from repro.core.bitpacked import run_packed
 from repro.core.faultplan import FaultPlanArrays
 from repro.core.executor import EXECUTORS_BY_SCHEME, ExecutionReport
@@ -632,25 +632,31 @@ class BitpackedBackend(ExecutionBackend):
     def enumerate_sites(
         self, input_values: Optional[Mapping[int, int]] = None
     ) -> List[FaultSite]:
-        """Walk the compiled tape — the schedule is input-independent, so no
-        execution is needed (``input_values`` is accepted for protocol
+        """Read the compiled gate tape — the schedule is input-independent,
+        so no execution is needed (``input_values`` is accepted for protocol
         symmetry and ignored)."""
-        sites: List[FaultSite] = []
-        for step in self.plan.steps:
-            if not isinstance(step, GateStep):
-                continue
-            for position in range(step.output_cols.shape[0]):
-                sites.append(
-                    FaultSite(
-                        operation_index=step.op_index,
-                        output_position=position,
-                        gate=step.gate,
-                        is_metadata=step.is_metadata,
-                        logic_level=step.logic_level,
-                        column=int(step.output_cols[position]),
-                    )
-                )
-        return sites
+        plan = self.plan
+        widths = np.diff(plan.gate_out_ptr)
+        firing = np.repeat(np.arange(widths.shape[0]), widths)
+        positions = np.arange(firing.shape[0]) - plan.gate_out_ptr[firing]
+        return [
+            FaultSite(
+                operation_index=op,
+                output_position=position,
+                gate=GATE_NAMES[code],
+                is_metadata=is_metadata,
+                logic_level=level,
+                column=column,
+            )
+            for op, position, code, is_metadata, level, column in zip(
+                plan.gate_op_index[firing].tolist(),
+                positions.tolist(),
+                plan.gate_code[firing].tolist(),
+                plan.gate_is_metadata[firing].tolist(),
+                plan.gate_logic_level[firing].tolist(),
+                plan.gate_out_cols.tolist(),
+            )
+        ]
 
 
 #: Registered execution backends, in default-first order.  ``scalar`` is the

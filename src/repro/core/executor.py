@@ -266,16 +266,27 @@ class EcimExecutor(_BaseExecutor):
     ) -> None:
         self.multi_output = multi_output
         self._code_factory = code_factory if code_factory is not None else HammingCode
+        self._codes: Dict[int, object] = {}
         # Metadata region: per level we need, at worst,
         #   r parity ping-pong cells (2r) + r independent r_ij staging cells +
         #   2 XOR scratch cells, where r = parity bits of the widest level.
         widest = max((len(level) for level in netlist.levelize()), default=1)
-        r_max = self._code_factory(max(1, widest)).n_parity
+        r_max = self.level_code(widest).n_parity
         metadata_columns = 2 * r_max + r_max + 2
         super().__init__(
             netlist, array, row, technology, metadata_columns, fault_injector=fault_injector
         )
         self._r_max = r_max
+
+    def level_code(self, n_data_bits: int):
+        """The code protecting a level of ``n_data_bits`` gate outputs, built
+        once per width: levels of equal width share one code, across levels
+        and across runs (the plan compiler reads it too)."""
+        n_data_bits = max(1, n_data_bits)
+        code = self._codes.get(n_data_bits)
+        if code is None:
+            code = self._codes[n_data_bits] = self._code_factory(n_data_bits)
+        return code
 
     # Metadata column layout (relative to metadata_base):
     #   [0 .. r-1]        parity bank A
@@ -344,7 +355,7 @@ class EcimExecutor(_BaseExecutor):
 
         for level_number, gate_indices in enumerate(self._levels, start=1):
             nodes = [self.netlist.gates[i] for i in gate_indices]
-            code = self._code_factory(max(1, len(nodes)))
+            code = self.level_code(len(nodes))
             checker = EcimChecker(code)
             r = code.n_parity
 

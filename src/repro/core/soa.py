@@ -1,13 +1,11 @@
 """Structure-of-arrays lowering of :class:`~repro.core.batched.ExecutionPlan`.
 
-The compiled tape is a tuple of per-step dataclasses; walking it would
-re-derive everything (column lists, truth-table identity, output arity)
-from Python attribute access on every step of every batch, and one Python
-iteration per step is itself the cost at campaign shard sizes, where a gate
-firing touches a handful of uint64 words.  :func:`lower_plan` therefore
-flattens the tape once, at compile time, into dense buffers *and* a wave
-schedule that lets the bit-packed engine (:mod:`repro.core.bitpacked`) run
-many firings per dispatch:
+The compiled tape is already flat arrays in tape order
+(:mod:`repro.core.batched`), but one Python iteration per step is itself the
+cost at campaign shard sizes, where a gate firing touches a handful of
+uint64 words.  :func:`lower_plan` therefore turns the tape, once, into a
+wave schedule that lets the bit-packed engine (:mod:`repro.core.bitpacked`)
+run many firings per dispatch:
 
 * **SSA state columns.**  Every gate output cell gets a fresh state column
   (``n_cols + cell``); ``phys`` maps each state column back to the plan's
@@ -55,7 +53,7 @@ many firings per dispatch:
 
 The schedule is built with vectorised numpy (renaming by one sort and a
 ``searchsorted``, waves by peeling the same-segment producer edges one
-wave per pass), so lowering costs no more than the per-step tape did.
+wave per pass); only the per-check decode tables are visited one by one.
 ``golden`` is the netlist's fault-free :class:`GoldenSchedule`, its gates
 grouped by (logic level, truth table).  Lowering is pure bookkeeping: the
 SoA plan references the original :class:`ExecutionPlan` (``soa.plan``) for
@@ -66,22 +64,25 @@ can serve any number of concurrent batches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.compiler.netlist import Netlist
 from repro.core.batched import (
-    EcimCheckStep,
+    GATE_NAMES,
+    KIND_ECIM,
+    KIND_GATE,
+    KIND_PRESET,
+    KIND_READ,
+    KIND_TRIM,
+    _THR,
     ExecutionPlan,
-    GateStep,
-    PresetStep,
-    ReadStep,
-    TrimCheckStep,
+    _frozen,
+    _gate_arrays,
+    _ptr,
+    _ranges,
 )
-from repro.errors import ProtectionError
-from repro.pim.gates import GateType
 
 __all__ = [
     "KIND_GATE",
@@ -96,65 +97,39 @@ __all__ = [
     "lower_plan",
 ]
 
-#: Dense step-kind codes of the ``step_kind`` and ``unit_kind`` arrays (a
-#: KIND_GATE unit is one gate group).
-KIND_GATE, KIND_PRESET, KIND_READ, KIND_ECIM, KIND_TRIM = range(5)
-
-
-def _frozen(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
-    return array
-
-
-def _ptr(widths: np.ndarray) -> np.ndarray:
-    """CSR pointer of consecutive chunks of the given widths."""
-    ptr = np.zeros(widths.shape[0] + 1, dtype=np.intp)
-    np.cumsum(widths, out=ptr[1:])
-    return ptr
-
-
-def _csr(chunks) -> Tuple[np.ndarray, np.ndarray]:
-    """Flatten a list of index arrays into (ptr, flat) CSR buffers."""
-    ptr = _ptr(np.fromiter(map(len, chunks), dtype=np.intp, count=len(chunks)))
-    flat = (
-        np.concatenate(chunks).astype(np.intp, copy=False)
-        if chunks
-        else np.zeros(0, dtype=np.intp)
-    )
-    return ptr, flat
-
 
 def _gather_ranges(ptr: np.ndarray, order: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Reorder the chunks of a CSR pointer: returns the new pointer and, per
     new flat position, the old flat position it comes from."""
-    starts = ptr[:-1][order]
-    widths = ptr[1:][order] - starts
-    new_ptr = _ptr(widths)
-    return new_ptr, np.repeat(starts - new_ptr[:-1], widths) + np.arange(new_ptr[-1])
+    widths = ptr[1:][order] - ptr[:-1][order]
+    return _ptr(widths), _ranges(ptr[:-1][order], widths)
 
 
 TableKey = Tuple[str, int, Optional[int]]
 
 
-def _table_key(gate: str, n_inputs: int, threshold: Optional[int]) -> TableKey:
-    """Canonical truth-table identity of one firing: THR normalises its
-    default threshold (the paper's 3) so e.g. ``thr/None`` and ``thr/3``
-    share a table id, every other gate carries no threshold at all."""
-    if gate == GateType.THR:
-        return (gate, n_inputs, 3 if threshold is None else int(threshold))
-    return (gate, n_inputs, None)
-
-
-def _table_ids(firings: List[TableKey]) -> Tuple[Tuple[TableKey, ...], np.ndarray]:
-    """Deduplicate ``(gate, n_inputs, threshold)`` firings into the table
-    registry (first-appearance order) and each firing's table id."""
-    tables: Dict[TableKey, int] = {}
-    table_of = {
-        firing: tables.setdefault(_table_key(*firing), len(tables))
-        for firing in dict.fromkeys(firings)
-    }
-    ids = np.fromiter(map(table_of.__getitem__, firings), dtype=np.intp, count=len(firings))
-    return tuple(tables), ids
+def _table_ids(
+    code: np.ndarray, n_inputs: np.ndarray, threshold: np.ndarray
+) -> Tuple[Tuple[TableKey, ...], np.ndarray]:
+    """Deduplicate firings into the truth-table registry (first-appearance
+    order) and each firing's table id.  A table is ``(gate, n_inputs,
+    threshold)``: THR normalises its default threshold (-1, the paper's 3)
+    so e.g. ``thr/None`` and ``thr/3`` share a table id, every other gate
+    carries no threshold at all."""
+    norm = np.where(code == _THR, np.where(threshold < 0, 3, threshold), -1)
+    key = (code.astype(np.int64) << 42) | (n_inputs.astype(np.int64) << 21) | (norm + 1)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    by_appearance = np.argsort(first)
+    table_of = np.empty(first.shape[0], dtype=np.intp)
+    table_of[by_appearance] = np.arange(first.shape[0])
+    firsts = first[by_appearance]
+    tables = tuple(
+        (GATE_NAMES[gate], width, None if level < 0 else level)
+        for gate, width, level in zip(
+            code[firsts].tolist(), n_inputs[firsts].tolist(), norm[firsts].tolist()
+        )
+    )
+    return tables, table_of[inverse.reshape(-1)]
 
 
 @dataclass(eq=False, frozen=True)
@@ -438,15 +413,11 @@ def golden_schedule(netlist: Netlist) -> GoldenSchedule:
     """Group a netlist's gates by (logic level, truth table)."""
     nodes = netlist.gates
     n_signals = netlist.n_signals
-    tables, table_ids = _table_ids(
-        [(node.gate, len(node.inputs), node.threshold) for node in nodes]
-    )
+    code, threshold, in_ptr, in_signals, outputs = _gate_arrays(nodes)
+    tables, table_ids = _table_ids(code, np.diff(in_ptr), threshold)
     level = np.zeros(len(nodes), dtype=np.intp)
     for depth, indices in enumerate(netlist.levelize()):
         level[indices] = depth
-    inputs = [node.inputs for node in nodes]
-    in_ptr = _ptr(np.fromiter(map(len, inputs), dtype=np.intp, count=len(inputs)))
-    in_signals = np.fromiter(chain.from_iterable(inputs), dtype=np.intp, count=in_ptr[-1])
 
     def value_cols(signals: np.ndarray) -> np.ndarray:
         constant = np.where(signals == Netlist.CONST_ZERO, n_signals, n_signals + 1)
@@ -456,7 +427,6 @@ def golden_schedule(netlist: Netlist) -> GoldenSchedule:
     changes = (np.diff(level[order]) != 0) | (np.diff(table_ids[order]) != 0)
     group_starts = np.flatnonzero(np.concatenate(([len(nodes) > 0], changes)))
     new_in_ptr, in_source = _gather_ranges(in_ptr, order)
-    outputs = np.fromiter((node.output for node in nodes), dtype=np.intp, count=len(nodes))
     return GoldenSchedule(
         n_values=n_signals + 2,
         input_cols=_frozen(np.asarray(netlist.inputs, dtype=np.intp)),
@@ -589,70 +559,27 @@ def _wave_schedule(
 def lower_plan(plan: ExecutionPlan) -> SoaPlan:
     """Lower one compiled instruction tape into its SoA form and wave
     schedule."""
-    kinds = []
-    gate_firings, gate_op, gate_meta = [], [], []
-    gate_ins, gate_outs = [], []
-    preset_values, preset_chunks = [], []
-    read_chunks = []
-    ecim_data, ecim_parity, ecim_a_t, ecim_weights, ecim_luts = [], [], [], [], []
-    trim_data, trim_groups, trim_copies = [], [], []
-
-    for step in plan.steps:
-        if isinstance(step, GateStep):
-            kinds.append(KIND_GATE)
-            gate_firings.append((step.gate, step.input_cols.shape[0], step.threshold))
-            gate_op.append(step.op_index)
-            gate_meta.append(step.is_metadata)
-            gate_ins.append(step.input_cols)
-            gate_outs.append(step.output_cols)
-        elif isinstance(step, PresetStep):
-            kinds.append(KIND_PRESET)
-            preset_values.append(step.value)
-            preset_chunks.append(step.columns)
-        elif isinstance(step, ReadStep):
-            kinds.append(KIND_READ)
-            read_chunks.append(step.columns)
-        elif isinstance(step, EcimCheckStep):
-            kinds.append(KIND_ECIM)
-            ecim_data.append(step.data_cols)
-            ecim_parity.append(step.parity_cols)
-            ecim_a_t.append(step.a_t)
-            ecim_weights.append(step.weights)
-            ecim_luts.append(step.lut)
-        elif isinstance(step, TrimCheckStep):
-            kinds.append(KIND_TRIM)
-            trim_data.append(step.data_cols)
-            trim_groups.append(tuple(step.copy_col_groups))
-            trim_copies.append(step.n_copies)
-        else:  # pragma: no cover - defensive
-            raise ProtectionError(f"unknown plan step {type(step).__name__}")
-
-    n_steps = len(kinds)
-    kind_array = np.asarray(kinds, dtype=np.int8)
-    del kinds
+    kinds = plan.step_kind
+    n_steps = kinds.shape[0]
     # Slots count each kind's steps in tape order; gate slots are
     # renumbered into wave order once the schedule exists.
     slot_array = np.zeros(n_steps, dtype=np.intp)
     step_of = {}
     for kind in (KIND_GATE, KIND_PRESET, KIND_READ, KIND_ECIM, KIND_TRIM):
-        step_of[kind] = np.flatnonzero(kind_array == kind)
+        step_of[kind] = np.flatnonzero(kinds == kind)
         slot_array[step_of[kind]] = np.arange(step_of[kind].shape[0])
 
-    tables, table_ids = _table_ids(gate_firings)
-    gate_meta_array = np.asarray(gate_meta, dtype=bool)
-    del gate_firings, gate_meta
-    out_ptr, out_phys = _csr(gate_outs)
-    preset_ptr, preset_phys = _csr(preset_chunks)
-    read_ptr, read_phys = _csr(read_chunks)
+    tables, table_ids = _table_ids(
+        plan.gate_code, np.diff(plan.gate_in_ptr), plan.gate_threshold
+    )
     gate_sites, meta_sites, preset_sites, read_sites = _site_classes(
-        kind_array, slot_array, gate_meta_array, out_ptr, preset_ptr, read_ptr
+        kinds, slot_array, plan.gate_is_metadata, plan.gate_out_ptr, plan.preset_ptr,
+        plan.read_ptr,
     )
-    in_ptr, in_phys = _csr(gate_ins)
-    del gate_ins, gate_outs
     schedule = _wave_schedule(
-        plan.n_cols, kind_array, slot_array, table_ids, in_ptr, in_phys, out_ptr, out_phys
+        plan.n_cols, kinds, slot_array, table_ids, plan.gate_in_ptr, plan.gate_in_cols,
+        plan.gate_out_ptr, plan.gate_out_cols,
     )
-    del in_ptr, in_phys, out_ptr, out_phys
     order = schedule.order
     slot_array[step_of[KIND_GATE]] = schedule.gate_slot
 
@@ -660,35 +587,36 @@ def lower_plan(plan: ExecutionPlan) -> SoaPlan:
         """Barrier columns read the versions live at their step."""
         return _frozen(schedule.state_cols(cols, np.repeat(steps, np.diff(ptr))))
 
-    ecim_data_ptr, ecim_data_phys = _csr(ecim_data)
-    ecim_parity_ptr, ecim_parity_phys = _csr(ecim_parity)
-    trim_data_ptr, trim_data_phys = _csr(trim_data)
-    ecim_data_cols = barrier_cols(ecim_data_ptr, ecim_data_phys, step_of[KIND_ECIM])
-    # Each syndrome bit's covering data columns, bit-major per check.
-    cover_chunks, cover_widths = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-    for check, a_t in enumerate(ecim_a_t):
-        bits, rows = np.nonzero(a_t.T)
-        cover_chunks.append(ecim_data_cols[ecim_data_ptr[check] + rows])
-        cover_widths.append(np.bincount(bits, minlength=a_t.shape[1]))
-    copy_ptr, copy_phys = _csr([cols for groups in trim_groups for cols in groups])
-    copy_step = np.repeat(step_of[KIND_TRIM], [len(groups) for groups in trim_groups])
-    copy_cols = iter(np.split(barrier_cols(copy_ptr, copy_phys, copy_step), copy_ptr[1:-1]))
-    trim_copy_groups = tuple(tuple(next(copy_cols) for _ in groups) for groups in trim_groups)
+    # Each syndrome bit's covering data columns are read at its check.
+    n_parity = np.diff(plan.ecim_parity_ptr)
+    cover_step = np.repeat(step_of[KIND_ECIM], n_parity)
+    weights: Dict[int, np.ndarray] = {}
+    for r in set(n_parity.tolist()):
+        weights[r] = _frozen(1 << np.arange(r, dtype=np.int64))
+    n_groups = plan.trim_n_copies - 1
+    copy_step = np.repeat(step_of[KIND_TRIM], n_groups)
+    copy_cols = iter(
+        np.split(
+            barrier_cols(plan.trim_copy_ptr, plan.trim_copy_cols, copy_step),
+            plan.trim_copy_ptr[1:-1],
+        )
+    )
+    trim_copy_groups = tuple(
+        tuple(next(copy_cols) for _ in range(groups)) for groups in n_groups.tolist()
+    )
 
     # Concatenate the per-check decode tables (-1 padded to the widest
     # correction capability) so a flat interpreter can address row
     # ``lut[offset[c] + packed_syndrome]``.
-    t_max = max((lut.shape[1] for lut in ecim_luts), default=1)
-    lut_rows = sum(lut.shape[0] for lut in ecim_luts)
-    ecim_lut = np.full((lut_rows, t_max), -1, dtype=np.int64)
-    ecim_lut_offset = np.zeros(len(ecim_luts), dtype=np.intp)
-    row = 0
-    for check, lut in enumerate(ecim_luts):
-        ecim_lut_offset[check] = row
+    luts = plan.ecim_lut
+    t_max = max((lut.shape[1] for lut in luts), default=1)
+    lut_rows = np.fromiter((lut.shape[0] for lut in luts), dtype=np.intp, count=len(luts))
+    ecim_lut_offset = _ptr(lut_rows)
+    ecim_lut = np.full((ecim_lut_offset[-1], t_max), -1, dtype=np.int64)
+    for lut, row in zip(luts, ecim_lut_offset.tolist()):
         ecim_lut[row:row + lut.shape[0], : lut.shape[1]] = lut
-        row += lut.shape[0]
 
-    op_array = np.asarray(gate_op, dtype=np.int64)[order]
+    op_array = plan.gate_op_index[order]
     slot_of_op = np.full(
         int(op_array.max()) + 1 if op_array.size else 0, -1, dtype=np.intp
     )
@@ -698,7 +626,7 @@ def lower_plan(plan: ExecutionPlan) -> SoaPlan:
     return SoaPlan(
         plan=plan,
         golden=golden_schedule(plan.netlist),
-        step_kind=_frozen(kind_array),
+        step_kind=_frozen(kinds),
         step_slot=_frozen(slot_array),
         phys=_frozen(schedule.phys),
         output_state_cols=_frozen(
@@ -707,7 +635,7 @@ def lower_plan(plan: ExecutionPlan) -> SoaPlan:
         tables=tables,
         gate_table_id=_frozen(table_ids[order]),
         gate_op_index=_frozen(op_array),
-        gate_is_metadata=_frozen(gate_meta_array[order]),
+        gate_is_metadata=_frozen(plan.gate_is_metadata[order]),
         gate_in_ptr=_frozen(schedule.gate_in_ptr),
         gate_in_cols=_frozen(schedule.gate_in_cols),
         gate_out_ptr=_frozen(schedule.gate_out_ptr),
@@ -718,24 +646,30 @@ def lower_plan(plan: ExecutionPlan) -> SoaPlan:
         unit_slot=_frozen(schedule.unit_slot),
         unit_of_step=_frozen(schedule.unit_of_step),
         lane_offset_of_step=_frozen(schedule.lane_offset_of_step),
-        preset_values=_frozen(np.asarray(preset_values, dtype=np.uint8)),
-        preset_ptr=_frozen(preset_ptr),
-        preset_cols=barrier_cols(preset_ptr, preset_phys, step_of[KIND_PRESET]),
-        read_ptr=_frozen(read_ptr),
-        read_cols=barrier_cols(read_ptr, read_phys, step_of[KIND_READ]),
-        ecim_data_ptr=_frozen(ecim_data_ptr),
-        ecim_data_cols=ecim_data_cols,
-        ecim_parity_ptr=_frozen(ecim_parity_ptr),
-        ecim_parity_cols=barrier_cols(ecim_parity_ptr, ecim_parity_phys, step_of[KIND_ECIM]),
-        ecim_cover_ptr=_frozen(_ptr(np.concatenate(cover_widths))),
-        ecim_cover_cols=_frozen(np.concatenate(cover_chunks)),
-        ecim_weights=tuple(ecim_weights),
+        preset_values=plan.preset_values,
+        preset_ptr=plan.preset_ptr,
+        preset_cols=barrier_cols(plan.preset_ptr, plan.preset_cols, step_of[KIND_PRESET]),
+        read_ptr=plan.read_ptr,
+        read_cols=barrier_cols(plan.read_ptr, plan.read_cols, step_of[KIND_READ]),
+        ecim_data_ptr=plan.ecim_data_ptr,
+        ecim_data_cols=barrier_cols(
+            plan.ecim_data_ptr, plan.ecim_data_cols, step_of[KIND_ECIM]
+        ),
+        ecim_parity_ptr=plan.ecim_parity_ptr,
+        ecim_parity_cols=barrier_cols(
+            plan.ecim_parity_ptr, plan.ecim_parity_cols, step_of[KIND_ECIM]
+        ),
+        ecim_cover_ptr=plan.ecim_cover_ptr,
+        ecim_cover_cols=barrier_cols(plan.ecim_cover_ptr, plan.ecim_cover_cols, cover_step),
+        ecim_weights=tuple(weights[r] for r in n_parity.tolist()),
         ecim_lut=_frozen(ecim_lut),
-        ecim_lut_offset=_frozen(ecim_lut_offset),
-        trim_data_ptr=_frozen(trim_data_ptr),
-        trim_data_cols=barrier_cols(trim_data_ptr, trim_data_phys, step_of[KIND_TRIM]),
+        ecim_lut_offset=_frozen(ecim_lut_offset[:-1]),
+        trim_data_ptr=plan.trim_data_ptr,
+        trim_data_cols=barrier_cols(
+            plan.trim_data_ptr, plan.trim_data_cols, step_of[KIND_TRIM]
+        ),
         trim_copy_groups=trim_copy_groups,
-        trim_n_copies=_frozen(np.asarray(trim_copies, dtype=np.int64)),
+        trim_n_copies=plan.trim_n_copies,
         gate_sites=gate_sites,
         meta_sites=meta_sites,
         preset_sites=preset_sites,

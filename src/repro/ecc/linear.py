@@ -95,10 +95,9 @@ class SystematicLinearCode:
         """
         table: Dict[Tuple[int, ...], int] = {}
         collisions = set()
-        for position in range(self._n):
-            error = np.zeros(self._n, dtype=np.uint8)
-            error[position] = 1
-            syndrome = tuple(int(b) for b in gf2.gf2_matvec(self._parity_check, error))
+        # The syndrome of a single error at ``position`` is H's column there.
+        for position, column in enumerate(self._parity_check.T.tolist()):
+            syndrome = tuple(column)
             if syndrome in table or syndrome in collisions:
                 collisions.add(syndrome)
                 table.pop(syndrome, None)

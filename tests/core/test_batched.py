@@ -18,13 +18,21 @@ import numpy as np
 import pytest
 
 from repro.campaign.workloads import get_campaign_workload, sample_inputs
-from repro.core.batched import compile_plan, sample_input_matrix
+from repro.core.batched import (
+    GATE_NAMES,
+    KIND_ECIM,
+    KIND_PRESET,
+    KIND_READ,
+    KIND_TRIM,
+    compile_plan,
+    sample_input_matrix,
+)
 from repro.core.bitpacked import bitpacked_golden_outputs, pack_trials, run_packed
 from repro.core.executor import EcimExecutor, TrimExecutor, UnprotectedExecutor
 from repro.errors import ProtectionError
 from repro.pim.faults import DeterministicFaultInjector, FaultModelSpec
 from repro.core.soa import lower_plan
-from repro.pim.operations import NullTrace
+from repro.pim.operations import NullTrace, OperationKind
 
 EXECUTORS = {
     "unprotected": UnprotectedExecutor,
@@ -98,6 +106,113 @@ class TestFaultFreeExactMatch:
             assert_trial_matches(result, row, report, netlist, (workload, scheme, multi_output, row))
         assert not result.detected.any()
         assert result.outputs_correct.all()
+
+
+def _scalar_trace(netlist, scheme, multi_output):
+    """The scalar executor's operation trace of one fault-free run, split
+    into gate firings and architectural barriers: a preset immediately
+    followed by a gate firing on the same columns is that gate's own output
+    preset, every other preset or read is a tape barrier."""
+    kwargs = {} if scheme == "unprotected" else {"multi_output": multi_output}
+    executor = EXECUTORS[scheme](netlist, **kwargs)
+    executor.run({signal: 0 for signal in netlist.inputs})
+    records = list(executor.array.trace)
+    gates, barriers = [], []
+    for index, record in enumerate(records):
+        if record.kind == OperationKind.GATE:
+            gates.append(record)
+        elif record.kind in (OperationKind.PRESET, OperationKind.READ):
+            following = records[index + 1] if index + 1 < len(records) else None
+            if (
+                record.kind == OperationKind.PRESET
+                and following is not None
+                and following.kind == OperationKind.GATE
+                and following.outputs == record.columns
+            ):
+                continue
+            barriers.append(record)
+    return executor, gates, barriers
+
+
+def _chunk(ptr, cols, index):
+    return tuple(cols[ptr[index]:ptr[index + 1]].tolist())
+
+
+class TestTapeMatchesScalarTrace:
+    """The compiled array tape against an independent oracle: the operation
+    trace of the scalar executor's own run (which never reads the tape)."""
+
+    @pytest.mark.parametrize("workload", ["and2", "dot2", "mlp16"])
+    @pytest.mark.parametrize("scheme", ["unprotected", "ecim", "trim"])
+    @pytest.mark.parametrize("multi_output", [True, False], ids=["mo", "so"])
+    def test_gate_firings_and_barriers_match(self, workload, scheme, multi_output):
+        netlist = get_campaign_workload(workload).netlist
+        plan = compile_plan(netlist, scheme, multi_output=multi_output)
+        executor, gates, barriers = _scalar_trace(netlist, scheme, multi_output)
+
+        # Gate firings: operation index, gate, columns, metadata flag, level.
+        assert plan.n_gate_ops == len(gates) == plan.gate_code.shape[0]
+        assert plan.gate_op_index.tolist() == list(range(len(gates)))
+        assert [GATE_NAMES[code] for code in plan.gate_code.tolist()] == [
+            record.gate for record in gates
+        ]
+        assert plan.gate_is_metadata.tolist() == [record.is_metadata for record in gates]
+        assert plan.gate_logic_level.tolist() == [record.logic_level for record in gates]
+        for firing, record in enumerate(gates):
+            assert _chunk(plan.gate_in_ptr, plan.gate_in_cols, firing) == record.inputs
+            assert _chunk(plan.gate_out_ptr, plan.gate_out_cols, firing) == record.outputs
+        assert plan.gate_fault_sites() == [
+            (op, position)
+            for op, record in enumerate(gates)
+            for position in range(len(record.outputs))
+        ]
+
+        # Barriers in tape order: presets with their columns and value,
+        # reads with their width (checks leave no trace record).
+        traced = [step for step in plan.step_kind.tolist() if step in (KIND_PRESET, KIND_READ)]
+        assert len(traced) == len(barriers)
+        presets = reads = 0
+        for step, record in zip(traced, barriers):
+            if step == KIND_PRESET:
+                assert record.kind == OperationKind.PRESET
+                assert _chunk(plan.preset_ptr, plan.preset_cols, presets) == record.columns
+                assert plan.preset_values[presets] == record.value
+                presets += 1
+            else:
+                assert record.kind == OperationKind.READ
+                assert plan.read_ptr[reads + 1] - plan.read_ptr[reads] == record.n_bits
+                reads += 1
+        assert presets == plan.preset_values.shape[0]
+        assert reads == plan.read_ptr.shape[0] - 1
+
+        # One check per logic level.
+        n_levels = len(netlist.levelize())
+        expected = {"unprotected": (0, 0), "ecim": (n_levels, 0), "trim": (0, n_levels)}
+        assert (
+            int((plan.step_kind == KIND_ECIM).sum()),
+            int((plan.step_kind == KIND_TRIM).sum()),
+        ) == expected[scheme]
+        if scheme == "ecim":
+            self._assert_ecim_checks_follow_code(plan, executor)
+
+    @staticmethod
+    def _assert_ecim_checks_follow_code(plan, executor):
+        """Each check's data columns are its level's outputs, and each
+        syndrome bit covers exactly the data bits the code says it does."""
+        gates = executor.netlist.gates
+        for check, indices in enumerate(executor.netlist.levelize()):
+            data = _chunk(plan.ecim_data_ptr, plan.ecim_data_cols, check)
+            assert data == tuple(executor.column_of[gates[i].output] for i in indices)
+            code = executor.level_code(len(indices))
+            first_bit = plan.ecim_parity_ptr[check]
+            assert plan.ecim_parity_ptr[check + 1] - first_bit == code.n_parity
+            covered = {
+                bit: set(_chunk(plan.ecim_cover_ptr, plan.ecim_cover_cols, first_bit + bit))
+                for bit in range(code.n_parity)
+            }
+            for data_bit, column in enumerate(data):
+                bits = {bit for bit, cols in covered.items() if column in cols}
+                assert bits == set(code.parity_bits_affected_by(data_bit))
 
 
 class TestExhaustiveSingleFault:

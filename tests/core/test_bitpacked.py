@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.campaign.workloads import get_campaign_workload
 from repro.core.backend import BitpackedBackend, derive_seed, make_backend
-from repro.core.batched import compile_plan, sample_input_matrix
+from repro.core.batched import GATE_NAMES, compile_plan, sample_input_matrix
 from repro.core.bitpacked import (
     WORD_BITS,
     _group_kernel,
@@ -286,36 +286,44 @@ def _assert_schedule_invariants(soa):
     assert np.array_equal(
         soa.gate_out_lane_gate, lane_slot - group_ptr[group_of_slot[lane_slot]]
     )
-    # State columns map back to the plan's physical columns.
+    # State columns map back to the plan's physical columns: every gate
+    # slot reads and writes its tape firing's columns, every barrier its
+    # step's.
+    plan = soa.plan
     assert soa.n_state_cols == n_cols + out_ptr[-1]
     assert np.array_equal(soa.phys[:n_cols], np.arange(n_cols))
-    for step_index, step in enumerate(soa.plan.steps):
-        slot = soa.step_slot[step_index]
-        kind = soa.step_kind[step_index]
-        if kind == KIND_GATE:
-            ins = soa.gate_in_cols[soa.gate_in_ptr[slot]:soa.gate_in_ptr[slot + 1]]
-            assert np.array_equal(soa.phys[ins], step.input_cols)
-            outs = n_cols + np.arange(out_ptr[slot], out_ptr[slot + 1])
-            assert np.array_equal(soa.phys[outs], step.output_cols)
-        elif kind == KIND_PRESET:
-            cols = soa.preset_cols[soa.preset_ptr[slot]:soa.preset_ptr[slot + 1]]
-            assert np.array_equal(soa.phys[cols], step.columns)
-        elif kind == KIND_READ:
-            cols = soa.read_cols[soa.read_ptr[slot]:soa.read_ptr[slot + 1]]
-            assert np.array_equal(soa.phys[cols], step.columns)
-        elif kind == KIND_ECIM:
-            data = soa.ecim_data_cols[soa.ecim_data_ptr[slot]:soa.ecim_data_ptr[slot + 1]]
-            parity = soa.ecim_parity_cols[
-                soa.ecim_parity_ptr[slot]:soa.ecim_parity_ptr[slot + 1]
-            ]
-            assert np.array_equal(soa.phys[data], step.data_cols)
-            assert np.array_equal(soa.phys[parity], step.parity_cols)
-        else:
-            data = soa.trim_data_cols[soa.trim_data_ptr[slot]:soa.trim_data_ptr[slot + 1]]
-            assert np.array_equal(soa.phys[data], step.data_cols)
-            for cols, plan_cols in zip(soa.trim_copy_groups[slot], step.copy_col_groups):
-                assert np.array_equal(soa.phys[cols], plan_cols)
+    tape_slots = soa.step_slot[gate_steps]  # wave slot of each tape-order firing
+    _assert_chunks_map(
+        soa.phys, _chunks(soa.gate_in_ptr, soa.gate_in_cols, tape_slots),
+        _chunks(plan.gate_in_ptr, plan.gate_in_cols),
+    )
+    _assert_chunks_map(
+        soa.phys, _chunks(out_ptr, n_cols + np.arange(out_ptr[-1]), tape_slots),
+        _chunks(plan.gate_out_ptr, plan.gate_out_cols),
+    )
+    for tape in ("preset", "read", "ecim_data", "ecim_parity", "ecim_cover", "trim_data"):
+        ptr, cols = getattr(soa, tape + "_ptr"), getattr(soa, tape + "_cols")
+        _assert_chunks_map(
+            soa.phys, _chunks(ptr, cols),
+            _chunks(getattr(plan, tape + "_ptr"), getattr(plan, tape + "_cols")),
+        )
+    _assert_chunks_map(
+        soa.phys, [cols for groups in soa.trim_copy_groups for cols in groups],
+        _chunks(plan.trim_copy_ptr, plan.trim_copy_cols),
+    )
     assert np.array_equal(soa.phys[soa.output_state_cols], soa.plan.output_cols)
+
+
+def _chunks(ptr, cols, order=None):
+    """The chunks of one CSR list, optionally in the given chunk order."""
+    chunks = [cols[lo:hi] for lo, hi in zip(ptr[:-1].tolist(), ptr[1:].tolist())]
+    return chunks if order is None else [chunks[i] for i in order]
+
+
+def _assert_chunks_map(phys, state_chunks, plan_chunks):
+    assert len(state_chunks) == len(plan_chunks)
+    for state, expected in zip(state_chunks, plan_chunks):
+        assert np.array_equal(phys[state], expected)
 
 
 class TestSoaLowering:
@@ -325,33 +333,28 @@ class TestSoaLowering:
         return lower_plan(compile_plan(netlist, request.param))
 
     def test_dispatch_covers_every_step(self, soa):
-        assert soa.n_steps == len(soa.plan.steps)
+        assert np.array_equal(soa.step_kind, soa.plan.step_kind)
         kinds = set(soa.step_kind.tolist())
         assert kinds <= {KIND_GATE, KIND_PRESET, KIND_READ, KIND_ECIM, KIND_TRIM}
         assert soa.n_gate_steps == int((soa.step_kind == KIND_GATE).sum())
 
-    def test_gate_tape_mirrors_plan_steps(self, soa):
-        from repro.core.batched import GateStep
-
-        for index, step in enumerate(soa.plan.steps):
-            if not isinstance(step, GateStep):
-                continue
-            slot = soa.step_slot[index]
-            assert soa.gate_op_index[slot] == step.op_index
-            assert soa.gate_is_metadata[slot] == step.is_metadata
+    def test_gate_tape_mirrors_plan_firings(self, soa):
+        plan = soa.plan
+        slots = soa.step_slot[soa.step_kind == KIND_GATE]  # tape-order firing → slot
+        assert np.array_equal(soa.gate_op_index[slots], plan.gate_op_index)
+        assert np.array_equal(soa.gate_is_metadata[slots], plan.gate_is_metadata)
+        in_widths = np.diff(plan.gate_in_ptr)
+        for firing, slot in enumerate(slots.tolist()):
             table = soa.tables[soa.gate_table_id[slot]]
-            assert table[0] == step.gate
-            assert table[1] == step.input_cols.shape[0]
-            assert soa.gate_out_ptr[slot + 1] - soa.gate_out_ptr[slot] == len(step.output_cols)
+            assert table[0] == GATE_NAMES[plan.gate_code[firing]]
+            assert table[1] == in_widths[firing]
+        assert np.array_equal(np.diff(soa.gate_out_ptr)[slots], np.diff(plan.gate_out_ptr))
 
     def test_schedule_invariants(self, soa):
         _assert_schedule_invariants(soa)
 
     def test_ecim_cover_lists_follow_a_t(self, soa):
-        from repro.core.batched import EcimCheckStep
-
-        checks = [step for step in soa.plan.steps if isinstance(step, EcimCheckStep)]
-        for check, a_t in enumerate(step.a_t for step in checks):
+        for check, a_t in enumerate(soa.plan.ecim_a_t):
             data = soa.ecim_data_cols[soa.ecim_data_ptr[check]:soa.ecim_data_ptr[check + 1]]
             first_bit = soa.ecim_parity_ptr[check]
             for bit in range(a_t.shape[1]):
@@ -395,7 +398,7 @@ class TestSoaLowering:
         # value from before the step, and a later reader in the same segment
         # sees the new one: NOR(a, b) into a's column, then NOT in place.
         from repro.compiler.netlist import Netlist
-        from repro.core.batched import ExecutionPlan, GateStep
+        from repro.core.batched import ExecutionPlan
 
         netlist = Netlist("in-place-or")
         a, b = netlist.add_inputs(2)
@@ -403,12 +406,15 @@ class TestSoaLowering:
         cols = lambda *c: np.asarray(c, dtype=np.intp)  # noqa: E731
         plan = ExecutionPlan(
             scheme="unprotected", multi_output=True, n_cols=3, netlist=netlist,
-            input_cols=cols(0, 1), output_cols=cols(0), const1_col=2,
-            steps=(
-                GateStep(0, "nor", cols(0, 1), cols(0), None, False, 1),
-                GateStep(1, "not", cols(0), cols(0), None, False, 2),
-            ),
-            n_gate_ops=2,
+            input_cols=cols(0, 1), output_cols=cols(0), const1_col=2, n_gate_ops=2,
+            step_kind=np.full(2, KIND_GATE, dtype=np.int8),
+            gate_code=np.array([GATE_NAMES.index("nor"), GATE_NAMES.index("not")], np.int8),
+            gate_threshold=np.array([-1, -1], dtype=np.int64),
+            gate_op_index=np.arange(2, dtype=np.int64),
+            gate_is_metadata=np.zeros(2, dtype=bool),
+            gate_logic_level=cols(1, 2),
+            gate_in_ptr=cols(0, 2, 3), gate_in_cols=cols(0, 1, 0),
+            gate_out_ptr=cols(0, 1, 2), gate_out_cols=cols(0, 0),
         )
         soa = lower_plan(plan)
         _assert_schedule_invariants(soa)
